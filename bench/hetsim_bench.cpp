@@ -3,22 +3,20 @@
 /// \file
 /// Times the simulator itself, phase by phase: trace generation throughput
 /// per kernel, single-run simulation per kernel x memory model, the fig5
-/// sweep through the SweepRunner, and the Pattern-block closed-form fold
-/// against its per-record reference. Each phase appends one record in the
+/// sweep through the SweepRunner, trace-cache hits against regeneration,
+/// and jobs=2 sweep scaling. Each phase appends one record in the
 /// bench_timing.json shape (points_per_s carries the phase's native
 /// throughput), so scripts/bench_timing.sh can gate any of them.
 ///
 /// Usage: hetsim_bench [--smoke] [--phase NAME]
 ///   --smoke   shrink every phase to a seconds-scale CI gate
 ///   --phase   run only the named phase
-///             (tracegen|singlerun|sweep|cachehit|scaling|fastpath|
-///              memphase)
+///             (tracegen|singlerun|sweep|cachehit|scaling)
 ///
 //===----------------------------------------------------------------------===//
 
 #include "common/WallTimer.h"
 #include "core/Experiments.h"
-#include "memory/MemorySystem.h"
 #include "trace/ComputeBlock.h"
 #include "trace/TraceCache.h"
 
@@ -31,6 +29,14 @@
 using namespace hetsim;
 
 namespace {
+
+bool isPhase(const char *Name) {
+  for (const char *Phase :
+       {"tracegen", "singlerun", "sweep", "cachehit", "scaling"})
+    if (std::strcmp(Name, Phase) == 0)
+      return true;
+  return false;
+}
 
 struct BenchOptions {
   bool Smoke = false;
@@ -226,112 +232,6 @@ void benchScaling(const BenchOptions &Opts) {
               ParallelSecs, SerialSecs);
 }
 
-/// Phase 6: the Pattern-block closed-form fold against its per-record
-/// reference — the speedup the fast path buys on explicitly periodic
-/// steady-state traces, with an equality check.
-void benchFastPath(const BenchOptions &Opts) {
-  std::printf("=== fastpath: pattern fold vs per-record reference ===\n");
-  PatternBlock Pattern;
-  const uint32_t Pc = 0x400;
-  for (unsigned I = 0; I != 6; ++I)
-    Pattern.Prologue.emitAlu(Opcode::IntAlu, Pc + I * 4, uint8_t(8 + I), 0);
-  Pattern.Body.emitAlu(Opcode::IntAlu, Pc + 0x40, 8, 9);
-  Pattern.Body.emitAlu(Opcode::FpMac, Pc + 0x44, 9, 8, 10);
-  Pattern.Body.emitAlu(Opcode::IntAlu, Pc + 0x48, 10, 9);
-  Pattern.Body.emitBranch(Pc + 0x4C, /*Taken=*/true);
-  Pattern.BodyRepeats = Opts.Smoke ? 250000 : 2500000;
-  auto Block = std::make_shared<const BlockTrace>(std::move(Pattern));
-
-  auto RunOnce = [&](int Mode) {
-    MemHierConfig HierConfig;
-    MemorySystem Mem(HierConfig);
-    Mem.mapRange(PuKind::Cpu, region::CpuPrivateBase, 1 << 20);
-    CpuCore Core(CpuConfig(), Mem);
-    setFastPathForTesting(Mode);
-    SegmentResult R = Mode == 0 ? Core.run(Block->materialized(), 0)
-                                : Core.run(SharedTrace(Block), 0);
-    setFastPathForTesting(-1);
-    return R;
-  };
-
-  WallTimer RefTimer;
-  SegmentResult Ref = RunOnce(0);
-  double RefSecs = RefTimer.elapsedSeconds();
-  WallTimer FastTimer;
-  SegmentResult Fast = RunOnce(1);
-  double FastSecs = FastTimer.elapsedSeconds();
-
-  bool Equal = Ref.Cycles == Fast.Cycles && Ref.Insts == Fast.Insts &&
-               Ref.BranchMispredicts == Fast.BranchMispredicts &&
-               Ref.ICacheMisses == Fast.ICacheMisses;
-  std::printf("  %llu records: reference %.3f s, fold %.4f s (%.0fx), "
-              "results %s\n",
-              static_cast<unsigned long long>(Block->totalRecords()), RefSecs,
-              FastSecs, FastSecs > 0 ? RefSecs / FastSecs : 0.0,
-              Equal ? "identical" : "DIFFER");
-  reportPhase("hetsim_bench_fastpath", Block->totalRecords(), FastSecs);
-  if (!Equal) {
-    std::fprintf(stderr, "error: fold diverged from reference\n");
-    std::exit(1);
-  }
-}
-
-/// Phase 7: memory-phase attribution — where each run's wall time goes:
-/// trace generation, the memory walk's TLB/translate step, the cache
-/// hierarchy, DRAM service, and whatever remains (core compute
-/// modelling). This is the measurement that motivates the selective-
-/// fidelity fast path: it shows how much of simulate_s the memory
-/// hierarchy costs per kernel x model.
-void benchMemPhase(const BenchOptions &Opts) {
-  std::printf("=== memphase: wall-time attribution per run ===\n");
-  std::vector<CaseStudy> Studies(allCaseStudies());
-  std::vector<KernelId> Kernels(allKernels());
-  if (Opts.Smoke) {
-    Studies = {CaseStudy::CpuGpu, CaseStudy::Fusion};
-    Kernels = {KernelId::Reduction, KernelId::MergeSort};
-  }
-  MemorySystem::setMemPhaseProfilingForTesting(1);
-  uint64_t Runs = 0;
-  double TotTlb = 0, TotCache = 0, TotDram = 0, TotWall = 0;
-  double GenBefore = double(traceGenNanos()) * 1e-9;
-  WallTimer Timer;
-  std::printf("  %-12s %-12s %9s %8s %8s %8s %8s\n", "model", "kernel",
-              "wall_ms", "tlb_ms", "cache_ms", "dram_ms", "other_ms");
-  for (CaseStudy Study : Studies) {
-    SystemConfig Config = SystemConfig::forCaseStudy(Study);
-    for (KernelId Kernel : Kernels) {
-      WallTimer RunTimer;
-      HeteroSimulator Sim(Config);
-      Sim.run(Kernel);
-      double Wall = RunTimer.elapsedSeconds();
-      const MemorySystem::MemPhaseProfile &P = Sim.memory().phaseProfile();
-      double Tlb = double(P.TlbNs) * 1e-9;
-      double CacheS = double(P.CacheNs) * 1e-9;
-      double Dram = double(P.DramNs) * 1e-9;
-      double Other = Wall - Tlb - CacheS - Dram;
-      std::printf("  %-12s %-12s %9.1f %8.1f %8.1f %8.1f %8.1f\n",
-                  caseStudyName(Study), kernelName(Kernel), Wall * 1e3,
-                  Tlb * 1e3, CacheS * 1e3, Dram * 1e3,
-                  (Other > 0 ? Other : 0) * 1e3);
-      TotTlb += Tlb;
-      TotCache += CacheS;
-      TotDram += Dram;
-      TotWall += Wall;
-      ++Runs;
-    }
-  }
-  MemorySystem::setMemPhaseProfilingForTesting(-1);
-  double GenSecs = double(traceGenNanos()) * 1e-9 - GenBefore;
-  double MemSecs = TotTlb + TotCache + TotDram;
-  std::printf("  total: %.3f s wall = %.3f gen + %.3f tlb + %.3f cache + "
-              "%.3f dram + %.3f compute/other (memory walk %.0f%%)\n",
-              TotWall, GenSecs, TotTlb, TotCache, TotDram,
-              TotWall - GenSecs - MemSecs,
-              TotWall > 0 ? MemSecs / TotWall * 100 : 0);
-  reportPhase("hetsim_bench_memphase", Runs, Timer.elapsedSeconds(),
-              GenSecs);
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -339,13 +239,13 @@ int main(int Argc, char **Argv) {
   for (int I = 1; I != Argc; ++I) {
     if (std::strcmp(Argv[I], "--smoke") == 0) {
       Opts.Smoke = true;
-    } else if (std::strcmp(Argv[I], "--phase") == 0 && I + 1 != Argc) {
+    } else if (std::strcmp(Argv[I], "--phase") == 0 && I + 1 != Argc &&
+               isPhase(Argv[I + 1])) {
       Opts.Phase = Argv[++I];
     } else {
       std::fprintf(stderr,
                    "usage: hetsim_bench [--smoke] "
-                   "[--phase tracegen|singlerun|sweep|cachehit|scaling|"
-                   "fastpath|memphase]\n");
+                   "[--phase tracegen|singlerun|sweep|cachehit|scaling]\n");
       return 2;
     }
   }
@@ -361,9 +261,5 @@ int main(int Argc, char **Argv) {
     benchCacheHit(Opts);
   if (Opts.runs("scaling"))
     benchScaling(Opts);
-  if (Opts.runs("fastpath"))
-    benchFastPath(Opts);
-  if (Opts.runs("memphase"))
-    benchMemPhase(Opts);
   return 0;
 }

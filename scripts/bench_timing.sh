@@ -6,7 +6,8 @@
 #   jobs     parallel worker count for the wide run (default: nproc)
 #   outfile  result path (default: BENCH_sweep.json)
 #
-# Four configurations are measured:
+# Four configurations are measured, all on the default exact memory tier
+# except serial-sampled:
 #   serial-nocache  jobs=1, trace cache off — the pre-sweep-engine baseline
 #   serial          jobs=1, trace cache on
 #   serial-sampled  jobs=1, trace cache on, HETSIM_MEMFAST=sampled — the
@@ -48,9 +49,9 @@ trap 'rm -rf "$TMPDIR_TIMING"' EXIT
 
 # Runs one configuration; prints "wall_s points points_per_s trace_gen_s
 # simulate_s lock_wait_s cache_hits cache_misses".
-run_once() { # name jobs cache_flag [memfast_mode]
+run_once() { # name jobs cache_flag [memfast_tier, default exact]
   local log="$TMPDIR_TIMING/$1.json"
-  HETSIM_JOBS="$2" HETSIM_TRACE_CACHE="$3" HETSIM_MEMFAST="${4:-0}" \
+  HETSIM_JOBS="$2" HETSIM_TRACE_CACHE="$3" HETSIM_MEMFAST="${4:-exact}" \
     HETSIM_TIMING_JSON="$log" \
     "$BENCH" >/dev/null 2>&1
   # The timing line has a fixed key order; pull fields with sed.

@@ -103,13 +103,6 @@ public:
     }
   }
 
-  /// Calls \p Fn(key, value&) for every live entry (unspecified order).
-  template <typename Fn> void forEach(Fn &&Callback) {
-    for (Slot &S : Slots)
-      if (S.Key < TombstoneKey)
-        Callback(S.Key, S.Value);
-  }
-
 private:
   static constexpr uint64_t EmptyKey = ~uint64_t(0);
   static constexpr uint64_t TombstoneKey = ~uint64_t(0) - 1;

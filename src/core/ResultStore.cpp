@@ -73,25 +73,6 @@ void foldCache(Fingerprint &F, const CacheConfig &C) {
 void foldTrace(Fingerprint &F, const SharedTrace &Trace) {
   if (const BlockTrace *Block = Trace.blocks()) {
     F.kind(Block->kind()).word(Block->totalRecords());
-    if (Block->kind() == BlockTrace::Kind::Pattern) {
-      const PatternBlock &P = Block->pattern();
-      F.word(P.BodyRepeats);
-      for (const TraceBuffer *Part : {&P.Prologue, &P.Body, &P.Epilogue}) {
-        F.word(Part->size());
-        for (const TraceRecord &R : *Part)
-          F.word(R.MemAddr)
-              .word(R.Pc)
-              .word(R.MemBytes)
-              .word(R.LaneStrideBytes)
-              .kind(R.Op)
-              .word(R.DstReg)
-              .word(R.SrcRegA)
-              .word(R.SrcRegB)
-              .word(R.SimdLanes)
-              .word(R.IsTaken ? 1 : 0);
-      }
-      return;
-    }
     // Generator-backed block: the recipe determines the stream exactly
     // (that is the fast path's correctness contract), so hash the
     // generator inputs instead of expanding millions of records.
@@ -275,19 +256,22 @@ ResultStore ResultStore::fromEnvironment() {
 }
 
 ResultStore::Key ResultStore::keyFor(const SystemConfig &Config,
-                                     const LoweredProgram &Program) {
+                                     const LoweredProgram &Program,
+                                     MemFastMode Tier) {
   Key K;
   K.ConfigHash = hashSystemConfig(Config);
   K.TraceHash = hashLoweredTraces(Program);
   K.CodeVersion = ResultStoreCodeVersion;
+  K.Tier = Tier;
   return K;
 }
 
 std::string ResultStore::entryPath(const Key &K) const {
-  char Name[80];
+  char Name[96];
   std::snprintf(Name, sizeof(Name),
-                "%016" PRIx64 "-%016" PRIx64 "-%" PRIu64 ".result",
-                K.ConfigHash, K.TraceHash, K.CodeVersion);
+                "%016" PRIx64 "-%016" PRIx64 "-%" PRIu64 "-%s.result",
+                K.ConfigHash, K.TraceHash, K.CodeVersion,
+                memFastModeName(K.Tier));
   return Root + "/" + Name;
 }
 
@@ -303,14 +287,16 @@ bool ResultStore::load(const Key &K, Entry &Out) const {
   bool Ok = [&] {
     char Magic[32];
     if (std::fscanf(File, "%31s", Magic) != 1 ||
-        std::strcmp(Magic, "hetsim-result-v1") != 0)
+        std::strcmp(Magic, "hetsim-result-v2") != 0)
       return false;
     uint64_t Cfg = 0, Trace = 0, Version = 0;
     char Tag[16];
-    if (std::fscanf(File, "%15s %" SCNx64 " %" SCNx64 " %" SCNu64, Tag,
-                    &Cfg, &Trace, &Version) != 4 ||
+    char Tier[16];
+    if (std::fscanf(File, "%15s %" SCNx64 " %" SCNx64 " %" SCNu64 " %15s",
+                    Tag, &Cfg, &Trace, &Version, Tier) != 5 ||
         std::strcmp(Tag, "key") != 0 || Cfg != K.ConfigHash ||
-        Trace != K.TraceHash || Version != K.CodeVersion)
+        Trace != K.TraceHash || Version != K.CodeVersion ||
+        std::strcmp(Tier, memFastModeName(K.Tier)) != 0)
       return false;
 
     RunResult &R = Out.Result;
@@ -391,9 +377,10 @@ bool ResultStore::save(const Key &K, const Entry &E) const {
   }
 
   const RunResult &R = E.Result;
-  std::fprintf(File, "hetsim-result-v1\n");
-  std::fprintf(File, "key %016" PRIx64 " %016" PRIx64 " %" PRIu64 "\n",
-               K.ConfigHash, K.TraceHash, K.CodeVersion);
+  std::fprintf(File, "hetsim-result-v2\n");
+  std::fprintf(File, "key %016" PRIx64 " %016" PRIx64 " %" PRIu64 " %s\n",
+               K.ConfigHash, K.TraceHash, K.CodeVersion,
+               memFastModeName(K.Tier));
   // Hex-float (%a) round-trips doubles exactly: a loaded entry is
   // bit-identical to the freshly simulated one.
   std::fprintf(File, "time %a %a %a\n", R.Time.SequentialNs,

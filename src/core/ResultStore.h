@@ -3,11 +3,13 @@
 /// \file
 /// An on-disk cache of finished sweep points, keyed by *content*: the
 /// FNV-1a fingerprint of the fully resolved SystemConfig, the fingerprint
-/// of every trace the lowered program will execute, and a code-version
-/// constant that is bumped whenever simulator semantics change. Two sweep
-/// points with the same key are guaranteed to produce the same RunResult
-/// (the simulator is deterministic in exactly those inputs), so a stored
-/// entry can be served in place of a simulation.
+/// of every trace the lowered program will execute, the memory fidelity
+/// tier (HETSIM_MEMFAST), and a code-version constant that is bumped
+/// whenever simulator semantics change. Two sweep points with the same key
+/// are guaranteed to produce the same RunResult (the simulator is
+/// deterministic in exactly those inputs), so a stored entry can be served
+/// in place of a simulation — and an exact-tier request is never served a
+/// sampled entry.
 ///
 /// Resumability falls out of the keying: an interrupted sweep has already
 /// persisted every completed point, so re-running the same sweep command
@@ -29,6 +31,7 @@
 
 #include "core/HeteroSimulator.h"
 #include "core/Lowering.h"
+#include "memory/MemFast.h"
 #include "obs/Metrics.h"
 
 #include <atomic>
@@ -57,11 +60,12 @@ uint64_t hashLoweredTraces(const LoweredProgram &Program);
 class ResultStore {
 public:
   /// A fully derived key. Also the on-disk identity: entries live at
-  /// <root>/<config-hash>-<trace-hash>-<version>.result.
+  /// <root>/<config-hash>-<trace-hash>-<version>-<tier>.result.
   struct Key {
     uint64_t ConfigHash = 0;
     uint64_t TraceHash = 0;
     uint64_t CodeVersion = ResultStoreCodeVersion;
+    MemFastMode Tier = MemFastMode::Exact;
   };
 
   /// Everything the sweep runner needs to skip a point.
@@ -81,9 +85,10 @@ public:
   const std::string &root() const { return Root; }
 
   /// Derives the key for one sweep point. \p Config must be the final,
-  /// override-applied configuration \p Program was lowered for.
-  static Key keyFor(const SystemConfig &Config,
-                    const LoweredProgram &Program);
+  /// override-applied configuration \p Program was lowered for, and
+  /// \p Tier the fidelity tier the point is simulated on.
+  static Key keyFor(const SystemConfig &Config, const LoweredProgram &Program,
+                    MemFastMode Tier = memFastMode());
 
   /// Loads the entry for \p K. Returns false on miss or on a corrupt /
   /// truncated / version-mismatched file (which a later save overwrites).

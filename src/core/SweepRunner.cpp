@@ -106,7 +106,8 @@ SweepRunner::run(const std::vector<SweepPoint> &Points) {
       HeteroSimulator Simulator(Config);
       if (Store.enabled()) {
         LoweredProgram Program = lowerKernel(Point.Kernel, Config);
-        ResultStore::Key K = ResultStore::keyFor(Config, Program);
+        ResultStore::Key K = ResultStore::keyFor(
+            Config, Program, Simulator.memory().memFastModeCached());
         ResultStore::Entry E;
         if (Store.load(K, E)) {
           Results[I] = E.Result;

@@ -7,37 +7,9 @@
 #include "memory/AddressSpaceModel.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
-#include <chrono>
-#include <cstdlib>
-#include <cstring>
 
 using namespace hetsim;
-
-namespace {
-
-uint64_t profNowNs() {
-  return uint64_t(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      std::chrono::steady_clock::now().time_since_epoch())
-                      .count());
-}
-
-std::atomic<int> MemPhaseOverride{-1};
-
-} // namespace
-
-bool MemorySystem::memPhaseProfilingEnabled() {
-  int Override = MemPhaseOverride.load(std::memory_order_relaxed);
-  if (Override >= 0)
-    return Override != 0;
-  const char *Env = std::getenv("HETSIM_MEMPHASE");
-  return Env && *Env && std::strcmp(Env, "0") != 0;
-}
-
-void MemorySystem::setMemPhaseProfilingForTesting(int Enabled) {
-  MemPhaseOverride.store(Enabled, std::memory_order_relaxed);
-}
 
 MemorySystem::MemorySystem(const MemHierConfig &Cfg)
     : Config(Cfg), CpuMshr(Cfg.CpuMshrs), GpuMshr(Cfg.GpuMshrs),
@@ -85,36 +57,20 @@ MemorySystem::MemorySystem(const MemHierConfig &Cfg)
   MemPrefetchFills = &Stats.counterRef("mem.prefetch_fills");
   MemMshrMerges = &Stats.counterRef("mem.mshr_merges");
 
-  // Memory-phase fast path: resolve the fidelity tier once and register
-  // the fold-coverage counters up front so the hetsim-metrics-v1 key set
-  // is identical across modes.
+  // Resolve the fidelity tier once and register the sampled-coverage
+  // counters up front so the hetsim-metrics-v1 key set is identical
+  // across tiers.
   MFMode = memFastMode();
-  ProfileOn = memPhaseProfilingEnabled();
-  MFCounters.FoldAttempts = &Stats.counterRef("memfast.fold_attempts");
-  MFCounters.Folds = &Stats.counterRef("memfast.folds");
-  MFCounters.FoldedRecords = &Stats.counterRef("memfast.folded_records");
-  MFCounters.WarmAccesses = &Stats.counterRef("memfast.warm_accesses");
   MFCounters.SampledWindows = &Stats.counterRef("memfast.sampled_windows");
   MFCounters.SampledRecords = &Stats.counterRef("memfast.sampled_records");
   Stats.setCounter("memfast.mode", uint64_t(MFMode));
-  for (unsigned R = 1; R != NumMemFoldReasons; ++R)
-    MFCounters.Fallback[R] = &Stats.counterRef(
-        std::string("memfast.fallback.") +
-        memFoldReasonName(MemFoldReason(R)));
 }
 
 void MemorySystem::drainBackground(Cycle NowCpu) {
   uint64_t Pending = CpuDram->queuedRequests();
   if (Pending == 0)
     return;
-  Cycle Done;
-  if (ProfileOn) {
-    uint64_t D0 = profNowNs();
-    Done = CpuDram->drainFrFcfs(NowCpu);
-    ProfDramNs += profNowNs() - D0;
-  } else {
-    Done = CpuDram->drainFrFcfs(NowCpu);
-  }
+  Cycle Done = CpuDram->drainFrFcfs(NowCpu);
   Cycle Duration = Done > NowCpu ? Done - NowCpu : 0;
   ++*BgDrains;
   *BgRequests += Pending;
@@ -183,12 +139,6 @@ Cycle MemorySystem::uncoreAccess(PuKind Pu, Addr PAddr, bool IsWrite,
   if (Pu == PuKind::Gpu && !Config.GpuSharesL3) {
     Level = HitLevel::Dram;
     ++*(GpuDramDevice ? DramGpuDemand : DramCpuDemand);
-    if (ProfileOn) {
-      uint64_t D0 = profNowNs();
-      Cycle Done = gpuDram().access(PAddr, NowCpu, IsWrite);
-      ProfDramNs += profNowNs() - D0;
-      return Done;
-    }
     return gpuDram().access(PAddr, NowCpu, IsWrite);
   }
 
@@ -196,14 +146,7 @@ Cycle MemorySystem::uncoreAccess(PuKind Pu, Addr PAddr, bool IsWrite,
     Level = HitLevel::Dram;
     Cycle AtCtrl = Noc->traverse(SourceStop, ring::MemCtrlStop, NowCpu);
     ++*DramCpuDemand;
-    Cycle Done;
-    if (ProfileOn) {
-      uint64_t D0 = profNowNs();
-      Done = CpuDram->access(PAddr, AtCtrl, IsWrite);
-      ProfDramNs += profNowNs() - D0;
-    } else {
-      Done = CpuDram->access(PAddr, AtCtrl, IsWrite);
-    }
+    Cycle Done = CpuDram->access(PAddr, AtCtrl, IsWrite);
     return Done + Noc->uncontendedLatency(ring::MemCtrlStop, SourceStop);
   }
 
@@ -227,14 +170,7 @@ Cycle MemorySystem::uncoreAccess(PuKind Pu, Addr PAddr, bool IsWrite,
       Noc->traverse(TileStop, ring::MemCtrlStop,
                     AtTile + L3->config().HitLatency /*tag check*/);
   ++*DramCpuDemand;
-  Cycle Done;
-  if (ProfileOn) {
-    uint64_t D0 = profNowNs();
-    Done = CpuDram->access(PAddr, AtCtrl, IsWrite);
-    ProfDramNs += profNowNs() - D0;
-  } else {
-    Done = CpuDram->access(PAddr, AtCtrl, IsWrite);
-  }
+  Cycle Done = CpuDram->access(PAddr, AtCtrl, IsWrite);
   Cycle BackToTile =
       Done + Noc->uncontendedLatency(ring::MemCtrlStop, TileStop);
   return BackToTile + ReturnHops;
@@ -249,9 +185,6 @@ MemAccessResult MemorySystem::access(PuKind Pu, Addr VAddr,
   MemAccessResult Result;
   const bool IsCpu = Pu == PuKind::Cpu;
   ++*(IsCpu ? MemCpuAccesses : MemGpuAccesses);
-
-  const uint64_t ProfT0 = ProfileOn ? profNowNs() : 0;
-  uint64_t ProfT1 = 0;
 
   Cycle Latency = 0;
 
@@ -295,35 +228,6 @@ MemAccessResult MemorySystem::access(PuKind Pu, Addr VAddr,
     }
   }
 
-  // Translation + policy work ends here; the rest of the walk is cache,
-  // NoC, and DRAM time (memphase attribution).
-  if (ProfileOn) {
-    ProfT1 = profNowNs();
-    Prof.TlbNs += ProfT1 - ProfT0;
-    ProfDramNs = 0;
-    ++Prof.Accesses;
-  }
-  auto Finish = [&](MemAccessResult R) {
-    if (ProfileOn) {
-      uint64_t WalkNs = profNowNs() - ProfT1;
-      Prof.DramNs += ProfDramNs;
-      Prof.CacheNs += WalkNs > ProfDramNs ? WalkNs - ProfDramNs : 0;
-    }
-    if (AccessLog) {
-      uint8_t Flags = 0;
-      if (R.TlbMiss)
-        Flags |= MemAccessEcho::FlagTlbMiss;
-      if (R.PageFault)
-        Flags |= MemAccessEcho::FlagPageFault;
-      if (R.CoherenceRemote)
-        Flags |= MemAccessEcho::FlagCoherenceRemote;
-      if (IsWrite)
-        Flags |= MemAccessEcho::FlagWrite;
-      AccessLog->push_back({VAddr, R.Latency, uint8_t(R.Level), Flags});
-    }
-    return R;
-  };
-
   // 4. Private hierarchy.
   Cache &L1 = IsCpu ? *CpuL1 : *GpuL1;
   Addr Line = alignDown(PAddr, CacheLineBytes);
@@ -337,19 +241,12 @@ MemAccessResult MemorySystem::access(PuKind Pu, Addr VAddr,
     Latency += IsCpu ? Extra : convertCycles(PuKind::Cpu, PuKind::Gpu, Extra);
   }
 
-  // Warm tier: functional contents only, nominal latency, no timing
-  // state below this point (gem5 atomic analogue).
-  if (MFMode == MemFastMode::Warm) {
-    Result.Latency = Latency;
-    return Finish(warmAccess(Pu, Line, IsWrite, ExplicitHint, Result));
-  }
-
   CacheAccessResult L1Result = L1.access(Line, IsWrite);
   Latency += L1.config().HitLatency;
   if (L1Result.Hit) {
     Result.Level = HitLevel::L1;
     Result.Latency = Latency;
-    return Finish(Result);
+    return Result;
   }
   if (L1Result.WroteBack) {
     if (IsCpu)
@@ -388,7 +285,7 @@ MemAccessResult MemorySystem::access(PuKind Pu, Addr VAddr,
       drainBackground(NowPu + Latency);
       Result.Level = HitLevel::L2;
       Result.Latency = Latency;
-      return Finish(Result);
+      return Result;
     }
     if (L2Result.WroteBack) {
       CpuDram->enqueue(L2Result.VictimAddr, /*IsWrite=*/true);
@@ -419,45 +316,6 @@ MemAccessResult MemorySystem::access(PuKind Pu, Addr VAddr,
   Result.Latency = Ready > NowPu ? Ready - NowPu : Latency + UncorePu;
   if (Decision.Merged)
     ++*MemMshrMerges;
-  return Finish(Result);
-}
-
-MemAccessResult MemorySystem::warmAccess(PuKind Pu, Addr Line, bool IsWrite,
-                                         bool ExplicitHint,
-                                         MemAccessResult Result) {
-  // Functional contents warming: fill every level the access would
-  // touch, charge the nominal sum of hit latencies, and leave the
-  // MSHR/NoC/DRAM timing state untouched. Victim writebacks are dropped
-  // — warm mode moves no data, only presence state.
-  const bool IsCpu = Pu == PuKind::Cpu;
-  ++*MFCounters.WarmAccesses;
-  Cache &L1 = IsCpu ? *CpuL1 : *GpuL1;
-  Cycle Latency = Result.Latency + L1.config().HitLatency;
-  CacheAccessResult L1R = L1.access(Line, IsWrite);
-  Result.Level = HitLevel::L1;
-  if (!L1R.Hit) {
-    if (IsCpu) {
-      CacheAccessResult L2R = CpuL2->access(Line, IsWrite);
-      Latency += CpuL2->config().HitLatency;
-      Result.Level = HitLevel::L2;
-      if (!L2R.Hit) {
-        if (Config.EnableL3) {
-          CacheAccessResult L3R = L3->access(Line, IsWrite, ExplicitHint);
-          Latency += L3->config().HitLatency;
-          Result.Level = L3R.Hit ? HitLevel::L3 : HitLevel::Dram;
-        } else {
-          Result.Level = HitLevel::Dram;
-        }
-      }
-    } else if (Config.GpuSharesL3 && Config.EnableL3) {
-      CacheAccessResult L3R = L3->access(Line, IsWrite, ExplicitHint);
-      Latency += L3->config().HitLatency;
-      Result.Level = L3R.Hit ? HitLevel::L3 : HitLevel::Dram;
-    } else {
-      Result.Level = HitLevel::Dram;
-    }
-  }
-  Result.Latency = Latency;
   return Result;
 }
 

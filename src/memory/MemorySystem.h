@@ -211,45 +211,15 @@ public:
   /// Fidelity tier (HETSIM_MEMFAST), resolved once at construction.
   MemFastMode memFastModeCached() const { return MFMode; }
 
-  /// Routes an echo of every demand access into \p Log until cleared
-  /// with nullptr. Used by the fold observer's window logging.
-  void setAccessLog(std::vector<MemAccessEcho> *Log) { AccessLog = Log; }
-
-  /// Fold-coverage counters, bound to registry entries at construction
-  /// (stable hetsim-metrics-v1 schema: "memfast.*").
+  /// Sampled-tier coverage counters, bound to registry entries at
+  /// construction (stable hetsim-metrics-v1 schema: "memfast.*").
   struct MemFastCounters {
-    uint64_t *FoldAttempts = nullptr;   ///< memfast.fold_attempts
-    uint64_t *Folds = nullptr;          ///< memfast.folds
-    uint64_t *FoldedRecords = nullptr;  ///< memfast.folded_records
-    uint64_t *WarmAccesses = nullptr;   ///< memfast.warm_accesses
     uint64_t *SampledWindows = nullptr; ///< memfast.sampled_windows
     uint64_t *SampledRecords = nullptr; ///< memfast.sampled_records
-    uint64_t *Fallback[NumMemFoldReasons] = {}; ///< memfast.fallback.*
   };
   MemFastCounters &memfastCounters() { return MFCounters; }
 
-  /// Wall-clock attribution of the demand-access walk, for the memphase
-  /// bench: where does simulate time go inside the memory system?
-  struct MemPhaseProfile {
-    uint64_t TlbNs = 0;   ///< TLB lookup, translation, policy checks.
-    uint64_t CacheNs = 0; ///< Cache walk + coherence + NoC (the rest).
-    uint64_t DramNs = 0;  ///< DRAM device time (demand + drains).
-    uint64_t Accesses = 0;
-  };
-  const MemPhaseProfile &phaseProfile() const { return Prof; }
-
-  /// HETSIM_MEMPHASE=1 enables the per-access timers (off by default:
-  /// two clock reads per access). Resolved at construction.
-  static bool memPhaseProfilingEnabled();
-  /// Test/bench hook: forces profiling on (1) / off (0) / env (-1) for
-  /// subsequently constructed systems.
-  static void setMemPhaseProfilingForTesting(int Enabled);
-
 private:
-  /// Functional-only warm-mode tail of access(): updates cache contents
-  /// below the private L1 without MSHR/NoC/DRAM timing.
-  MemAccessResult warmAccess(PuKind Pu, Addr PAddr, bool IsWrite,
-                             bool ExplicitHint, MemAccessResult Result);
   /// Uncore walk beyond the private hierarchy; \p NowCpu in CPU cycles,
   /// returns completion cycle in CPU cycles.
   Cycle uncoreAccess(PuKind Pu, Addr PAddr, bool IsWrite, Cycle NowCpu,
@@ -305,15 +275,9 @@ private:
   uint64_t *MemMshrMerges = nullptr;
   std::function<void(const BgDrainEvent &)> DrainHook;
 
-  // Memory-phase fast path (DESIGN.md §11).
+  // Memory fidelity tier (DESIGN.md §11).
   MemFastMode MFMode = MemFastMode::Exact;
   MemFastCounters MFCounters;
-  std::vector<MemAccessEcho> *AccessLog = nullptr;
-
-  // memphase wall-clock attribution.
-  MemPhaseProfile Prof;
-  bool ProfileOn = false;
-  uint64_t ProfDramNs = 0; ///< DRAM ns accrued inside the current access.
 };
 
 } // namespace hetsim

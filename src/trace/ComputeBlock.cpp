@@ -6,7 +6,6 @@
 #include <atomic>
 #include <cassert>
 #include <cstdlib>
-#include <cstring>
 
 using namespace hetsim;
 
@@ -56,14 +55,7 @@ static void releaseReuseBytes(uint64_t Bytes) {
 }
 
 bool hetsim::fastPathEnabled() {
-  int Forced = FastPathOverride.load(std::memory_order_relaxed);
-  if (Forced >= 0)
-    return Forced != 0;
-  static const bool FromEnv = [] {
-    const char *Env = std::getenv("HETSIM_FASTPATH");
-    return !Env || std::strcmp(Env, "0") != 0;
-  }();
-  return FromEnv;
+  return FastPathOverride.load(std::memory_order_relaxed) != 0;
 }
 
 void hetsim::setFastPathForTesting(int Mode) {
@@ -84,9 +76,6 @@ BlockTrace::BlockTrace(KernelId Kernel, uint64_t InstCount, uint64_t Seed,
   Req.Seed = Seed;
 }
 
-BlockTrace::BlockTrace(PatternBlock Pattern)
-    : K(Kind::Pattern), Pat(std::move(Pattern)), Total(Pat.totalRecords()) {}
-
 const TraceBuffer &BlockTrace::materialized() const {
   std::call_once(MatOnce, [this] {
     auto Buffer = std::make_unique<TraceBuffer>();
@@ -96,16 +85,6 @@ const TraceBuffer &BlockTrace::materialized() const {
       break;
     case Kind::SerialGen:
       *Buffer = generator().generateSerial(Req.InstCount, Layout, Req.Seed);
-      break;
-    case Kind::Pattern:
-      Buffer->reserve(size_t(Total));
-      for (const TraceRecord &R : Pat.Prologue)
-        Buffer->append(R);
-      for (uint64_t Rep = 0; Rep != Pat.BodyRepeats; ++Rep)
-        for (const TraceRecord &R : Pat.Body)
-          Buffer->append(R);
-      for (const TraceRecord &R : Pat.Epilogue)
-        Buffer->append(R);
       break;
     }
     assert(Buffer->size() == Total && "materialization missed the total");
@@ -165,28 +144,21 @@ void BlockTrace::abortTee() const {
 
 BlockExpander::BlockExpander(const BlockTrace &Block)
     : Block(Block), Remaining(Block.totalRecords()) {
-  switch (Block.kind()) {
-  case BlockTrace::Kind::ComputeGen:
-  case BlockTrace::Kind::SerialGen:
-    // A ready materialized stream beats regeneration: serve spans out of
-    // it and skip the generator entirely.
-    if (Block.expansionReuseReady()) {
-      FromMat = true;
-      return;
-    }
-    if (Block.kind() == BlockTrace::Kind::ComputeGen)
-      Block.generator().beginCompute(S, Block.request(), Block.layout());
-    else
-      Block.generator().beginSerial(S, Block.layout(), Block.serialSeed());
-    // First expansion of a shared block: tee the windows into a full
-    // buffer so later expanders of this block get zero-copy spans.
-    if (Block.claimTee()) {
-      Tee = std::make_unique<TraceBuffer>();
-      Tee->reserve(size_t(Remaining));
-    }
-    break;
-  case BlockTrace::Kind::Pattern:
-    break;
+  // A ready materialized stream beats regeneration: serve spans out of it
+  // and skip the generator entirely.
+  if (Block.expansionReuseReady()) {
+    FromMat = true;
+    return;
+  }
+  if (Block.kind() == BlockTrace::Kind::ComputeGen)
+    Block.generator().beginCompute(S, Block.request(), Block.layout());
+  else
+    Block.generator().beginSerial(S, Block.layout(), Block.serialSeed());
+  // First expansion of a shared block: tee the windows into a full buffer
+  // so later expanders of this block get zero-copy spans.
+  if (Block.claimTee()) {
+    Tee = std::make_unique<TraceBuffer>();
+    Tee->reserve(size_t(Remaining));
   }
 }
 
@@ -229,42 +201,6 @@ uint64_t BlockExpander::next(TraceBuffer &Window, size_t Target) {
         Block.generator().emitSerial(S, Window, Remaining, Target);
     Remaining -= Emitted;
     tee(Window);
-    return Emitted;
-  }
-  case BlockTrace::Kind::Pattern: {
-    // Copy contiguous runs out of the logical prologue/body^N/epilogue
-    // stream. Unlike generator windows there is no iteration alignment
-    // to preserve; a plain record count boundary is exact.
-    const PatternBlock &P = Block.pattern();
-    const uint64_t ProEnd = P.Prologue.size();
-    const uint64_t BodyEnd = ProEnd + P.Body.size() * P.BodyRepeats;
-    Window.reserve(size_t(std::min<uint64_t>(Remaining, Target)));
-    uint64_t Emitted = 0;
-    while (Remaining != 0 && Emitted < Target) {
-      const TraceBuffer *Src;
-      uint64_t Offset;
-      uint64_t RunEnd;
-      if (PatPos < ProEnd) {
-        Src = &P.Prologue;
-        Offset = PatPos;
-        RunEnd = ProEnd;
-      } else if (PatPos < BodyEnd) {
-        Src = &P.Body;
-        Offset = (PatPos - ProEnd) % P.Body.size();
-        RunEnd = PatPos + (P.Body.size() - Offset);
-      } else {
-        Src = &P.Epilogue;
-        Offset = PatPos - BodyEnd;
-        RunEnd = BodyEnd + P.Epilogue.size();
-      }
-      uint64_t Run = std::min({RunEnd - PatPos, Remaining,
-                               uint64_t(Target) - Emitted});
-      for (uint64_t I = 0; I != Run; ++I)
-        Window.append((*Src)[size_t(Offset + I)]);
-      PatPos += Run;
-      Remaining -= Run;
-      Emitted += Run;
-    }
     return Emitted;
   }
   }
@@ -311,8 +247,6 @@ BlockExpander::Span BlockExpander::nextSpan(TraceBuffer &Window,
     case BlockTrace::Kind::SerialGen:
       Emitted = Block.generator().emitSerial(S, *Tee, Remaining, Target);
       break;
-    case BlockTrace::Kind::Pattern:
-      break; // a tee is only ever claimed for generator-backed blocks
     }
     Remaining -= Emitted;
     Span Out{Tee->records().data() + Start, Emitted};

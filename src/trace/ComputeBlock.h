@@ -3,17 +3,16 @@
 /// \file
 /// Compact (run-length) representations of compute traces. A BlockTrace
 /// describes a record stream by its *recipe* — a (generator, request)
-/// pair, or an explicit prologue/body×N/epilogue pattern — instead of a
-/// materialized vector of millions of TraceRecords. Cores expand blocks a
-/// window at a time (a few thousand records that stay L1-resident), or
-/// retire the periodic part of a Pattern block in closed form when their
-/// pipeline state reaches a per-period fixed point.
+/// pair — instead of a materialized vector of millions of TraceRecords.
+/// Cores expand blocks a window at a time (a few thousand records that
+/// stay L1-resident).
 ///
 /// Expansion is exact: BlockExpander replays the same generator code over
 /// the same GenState, so the concatenation of all windows is byte-identical
 /// to the single-shot buffer generateCompute/generateSerial would produce.
-/// `HETSIM_FASTPATH=0` (or setFastPathForTesting) disables block-backed
-/// traces entirely and restores the fully materialized reference path.
+/// setFastPathForTesting(0) disables block-backed traces entirely and
+/// restores the fully materialized reference path that tests compare
+/// against.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,14 +28,13 @@
 
 namespace hetsim {
 
-/// Returns true when block-backed traces and the cores' run-length fast
-/// path are enabled. Controlled by HETSIM_FASTPATH (default on; "0"
-/// disables) and overridable for differential testing.
+/// Returns true when block-backed traces and the cores' windowed fast
+/// path are enabled: always, unless a differential test switched them off.
 bool fastPathEnabled();
 
 /// Test hook: forces the fast path on (1), off (0), or back to the
-/// environment setting (-1). Not thread-safe against concurrent runs;
-/// intended for use between simulations in a single-threaded test.
+/// default, on (-1). Not thread-safe against concurrent runs; intended
+/// for use between simulations in a single-threaded test.
 void setFastPathForTesting(int Mode);
 
 /// Number of records an expansion window aims for. Small enough that the
@@ -80,21 +78,6 @@ private:
   std::chrono::steady_clock::time_point Start;
 };
 
-/// An explicit periodic trace: Prologue, then Body repeated BodyRepeats
-/// times, then Epilogue. The natural shape for steady-state loop traces
-/// whose per-iteration record sequence is literally identical (no RNG, no
-/// address drift) — the cores' closed-form fold targets the Body.
-struct PatternBlock {
-  TraceBuffer Prologue;
-  TraceBuffer Body;
-  TraceBuffer Epilogue;
-  uint64_t BodyRepeats = 0;
-
-  uint64_t totalRecords() const {
-    return Prologue.size() + Body.size() * BodyRepeats + Epilogue.size();
-  }
-};
-
 /// A run-length trace handle: the recipe for a record stream plus a lazy
 /// fully-materialized form for consumers that need random access (the
 /// interleaved-contention path, tests, trace dumps).
@@ -103,7 +86,6 @@ public:
   enum class Kind : uint8_t {
     ComputeGen, ///< generateCompute(Req, Layout) of one kernel.
     SerialGen,  ///< generateSerial(InstCount, Layout, Seed).
-    Pattern,    ///< Explicit PatternBlock.
   };
 
   /// A compute segment: the stream generateCompute(\p Req, \p Layout)
@@ -115,16 +97,9 @@ public:
   BlockTrace(KernelId Kernel, uint64_t InstCount, uint64_t Seed,
              const KernelDataLayout &Layout);
 
-  /// An explicit pattern.
-  explicit BlockTrace(PatternBlock Pattern);
-
   Kind kind() const { return K; }
   uint64_t totalRecords() const { return Total; }
 
-  /// Valid only for Kind::Pattern.
-  const PatternBlock &pattern() const { return Pat; }
-
-  /// Valid only for ComputeGen/SerialGen.
   const KernelTraceGenerator &generator() const {
     return KernelTraceGenerator::forKernel(Kernel);
   }
@@ -170,8 +145,7 @@ private:
   Kind K;
   KernelId Kernel = KernelId::Reduction;
   GenRequest Req;           ///< SerialGen reuses InstCount/Seed fields.
-  KernelDataLayout Layout;  ///< Empty for Pattern blocks.
-  PatternBlock Pat;         ///< Empty for generator blocks.
+  KernelDataLayout Layout;
   uint64_t Total = 0;
 
   mutable std::once_flag MatOnce;
@@ -231,7 +205,6 @@ private:
   const BlockTrace &Block;
   GenState S;
   uint64_t Remaining = 0;
-  uint64_t PatPos = 0; ///< Pattern: global index into the logical stream.
   bool FromMat = false;  ///< Serving from the shared materialized buffer.
   uint64_t MatPos = 0;   ///< Cursor into that buffer.
   std::unique_ptr<TraceBuffer> Tee; ///< Non-null while teeing this expansion.

@@ -2,12 +2,15 @@
 
 #include "memory/AddressSpaceModel.h"
 #include "memory/FirstTouchTracker.h"
+#include "memory/MemFast.h"
 #include "memory/MemorySystem.h"
 #include "memory/Ownership.h"
 #include "memory/PageTable.h"
 #include "memory/Tlb.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdlib>
 
 using namespace hetsim;
 
@@ -736,4 +739,45 @@ TEST(MemorySystem, MshrMergesConcurrentMisses) {
   // Re-trigger a miss while the prior fill is still in flight.
   Mem.access(PuKind::Cpu, region::CpuPrivateBase, 4, false, 1);
   EXPECT_EQ(Mem.stats().counter("mem.mshr_merges"), 1u);
+}
+
+//===----------------------------------------------------------------------===//
+// HETSIM_MEMFAST fidelity tier selection.
+//===----------------------------------------------------------------------===//
+
+TEST(MemFastParse, AcceptsUnsetExactAndSampled) {
+  EXPECT_EQ(parseMemFastMode(nullptr), MemFastMode::Exact);
+  EXPECT_EQ(parseMemFastMode(""), MemFastMode::Exact);
+  EXPECT_EQ(parseMemFastMode("exact"), MemFastMode::Exact);
+  EXPECT_EQ(parseMemFastMode("sampled"), MemFastMode::Sampled);
+  // The numeric values are the memfast.mode metric.
+  EXPECT_EQ(int(MemFastMode::Exact), 1);
+  EXPECT_EQ(int(MemFastMode::Sampled), 3);
+}
+
+TEST(MemFastParse, RejectsRemovedTiersAndTypos) {
+  for (const char *Bad :
+       {"0", "off", "warm", "1", "3", "sample", "Exact", "exact ", "samples"})
+    EXPECT_FALSE(parseMemFastMode(Bad).has_value()) << Bad;
+}
+
+TEST(MemFastParseDeath, UnknownEnvironmentValueIsFatal) {
+  setMemFastForTesting(-1);
+  ::setenv("HETSIM_MEMFAST", "warm", 1);
+  EXPECT_DEATH(memFastMode(), "HETSIM_MEMFAST must be unset, 'exact' or "
+                              "'sampled'");
+  EXPECT_DEATH({ MemorySystem Mem; }, "HETSIM_MEMFAST must be unset");
+  ::setenv("HETSIM_MEMFAST", "sampled", 1);
+  EXPECT_EQ(memFastMode(), MemFastMode::Sampled);
+  ::unsetenv("HETSIM_MEMFAST");
+  EXPECT_EQ(memFastMode(), MemFastMode::Exact);
+}
+
+TEST(MemFastParseDeath, TestHookRejectsRemovedTiers) {
+  EXPECT_DEATH(setMemFastForTesting(0), "setMemFastForTesting takes");
+  EXPECT_DEATH(setMemFastForTesting(2), "setMemFastForTesting takes");
+  setMemFastForTesting(3);
+  EXPECT_EQ(memFastMode(), MemFastMode::Sampled);
+  setMemFastForTesting(-1);
+  EXPECT_EQ(memFastMode(), MemFastMode::Exact);
 }

@@ -12,6 +12,7 @@
 
 #include "core/ResultStore.h"
 #include "core/SweepRunner.h"
+#include "memory/MemFast.h"
 
 #include "gtest/gtest.h"
 
@@ -204,6 +205,31 @@ TEST(ResultStore, InterruptedSweepResumesByteIdentically) {
   EXPECT_EQ(Warm.telemetry().StoreMisses, 0u);
   for (size_t I = 0; I != Served.size(); ++I)
     expectResultEq(Served[I], Want[I]);
+}
+
+/// An exact run resuming from a store that a sampled run filled must
+/// simulate, not be served the sampled (approximate) numbers.
+TEST(ResultStore, ExactRunIsNeverServedASampledEntry) {
+  std::vector<SweepPoint> Points;
+  Points.emplace_back(SystemConfig::forCaseStudy(CaseStudy::CpuGpu),
+                      KernelId::Reduction);
+  SweepRunner Reference(1);
+  std::vector<RunResult> Exact = Reference.run(Points);
+
+  std::string Dir = freshDir("result_store_tier");
+  setMemFastForTesting(3);
+  SweepRunner Sampled(1);
+  Sampled.setResultStoreDir(Dir);
+  std::vector<RunResult> Approx = Sampled.run(Points);
+  setMemFastForTesting(-1);
+  ASSERT_NE(Approx[0].Time.totalNs(), Exact[0].Time.totalNs())
+      << "the sampled tier must differ here for the test to mean anything";
+
+  SweepRunner Resumed(1);
+  Resumed.setResultStoreDir(Dir);
+  std::vector<RunResult> Got = Resumed.run(Points);
+  EXPECT_EQ(Resumed.telemetry().StoreHits, 0u);
+  expectResultEq(Got[0], Exact[0]);
 }
 
 TEST(ResultStore, FromEnvironmentHonorsVariable) {

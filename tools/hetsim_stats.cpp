@@ -156,36 +156,30 @@ int cmdValidate(const std::string &Path) {
   return 0;
 }
 
-/// Memory-fast-path fold coverage (DESIGN.md §11), printed after a
-/// point's metrics when the memfast.* counters are present: how often the
-/// steady-state fold engaged, how much of the stream it retired in closed
-/// form, and which precondition each fall-back tripped on.
-void summarizeFoldCoverage(const JsonValue &Metrics) {
-  const JsonValue *Attempts = Metrics.find("memfast.fold_attempts");
-  if (!Attempts || !Attempts->isNumber())
+/// Memory fidelity tier and sampled coverage (DESIGN.md §11), printed
+/// after a point's metrics when memfast.mode is present. Counters of
+/// other memfast.* names (older builds wrote fold counters) are listed
+/// with the metrics but not summarized.
+void summarizeFidelity(const JsonValue &Metrics) {
+  const JsonValue *Mode = Metrics.find("memfast.mode");
+  if (!Mode || !Mode->isNumber())
     return;
   auto Num = [&](const char *Key) {
     const JsonValue *V = Metrics.find(Key);
     return V && V->isNumber() ? V->NumberValue : 0.0;
   };
-  std::printf("  fold coverage: %.0f/%.0f attempts folded, %.0f records "
-              "extrapolated\n",
-              Num("memfast.folds"), Attempts->NumberValue,
-              Num("memfast.folded_records"));
-  for (const auto &Member : Metrics.Members) {
-    const std::string Fallback = "memfast.fallback.";
-    if (Member.first.compare(0, Fallback.size(), Fallback) != 0)
-      continue;
-    if (!Member.second.isNumber() || Member.second.NumberValue == 0)
-      continue;
-    std::printf("    fall-back %-24s %.0f\n",
-                Member.first.c_str() + Fallback.size(),
-                Member.second.NumberValue);
+  if (Mode->NumberValue == 1) {
+    std::printf("  fidelity tier: exact\n");
+  } else if (Mode->NumberValue == 3) {
+    std::printf("  fidelity tier: sampled (approximate)\n");
+    std::printf("  sampled coverage: %.0f bursts, %.0f records "
+                "extrapolated, error bound %.6g cycles\n",
+                Num("memfast.sampled_windows"), Num("memfast.sampled_records"),
+                Num("run.sampled_error_cycles"));
+  } else {
+    std::printf("  fidelity tier: unknown (memfast.mode %g)\n",
+                Mode->NumberValue);
   }
-  if (Num("memfast.sampled_windows") != 0)
-    std::printf("  sampling: %.0f bursts, %.0f records extrapolated\n",
-                Num("memfast.sampled_windows"),
-                Num("memfast.sampled_records"));
 }
 
 int cmdShow(const std::string &Path, const std::string &Prefix) {
@@ -216,7 +210,7 @@ int cmdShow(const std::string &Path, const std::string &Prefix) {
                   Prefix.empty() ? "" : " matching prefix ",
                   Prefix.c_str());
     if (Prefix.empty() || Prefix.compare(0, 7, "memfast") == 0)
-      summarizeFoldCoverage(*View.Metrics);
+      summarizeFidelity(*View.Metrics);
   }
   return 0;
 }
