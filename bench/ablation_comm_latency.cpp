@@ -16,6 +16,7 @@
 using namespace hetsim;
 
 int main() {
+  RunOptions Opts = RunOptions::fromEnvironment();
   std::printf("=== Ablation A: api-pci base-cost sweep (reduction, "
               "k-mean) ===\n\n");
 
@@ -36,7 +37,7 @@ int main() {
     Points.emplace_back(Config, KernelId::Reduction);
     Points.emplace_back(Config, KernelId::KMeans);
   }
-  SweepRunner Runner;
+  SweepRunner Runner(0, Opts);
   std::vector<RunResult> Results = Runner.run(Points);
 
   std::printf("Fusion communication reference: reduction %.1f us, "
@@ -58,7 +59,7 @@ int main() {
   }
   std::printf("%s\n", Table.render().c_str());
   std::fprintf(stderr, "%s\n", Runner.telemetry().summary().c_str());
-  appendBenchTiming("ablation_comm_latency", Runner.telemetry());
+  appendBenchTiming("ablation_comm_latency", Runner.telemetry(), Opts);
   std::printf("Even at api_pci_base=0 the PCI-E system still pays the\n"
               "bandwidth term (bytes at 16GB/s), so it cannot reach\n"
               "Fusion's memory-controller cost for small transfers.\n");

@@ -29,6 +29,7 @@ SweepPoint contentionPoint(CaseStudy Study, KernelId Kernel,
 } // namespace
 
 int main() {
+  RunOptions Opts = RunOptions::fromEnvironment();
   std::printf("=== Ablation J: cross-PU memory interference (IDEAL "
               "system) ===\n\n");
 
@@ -42,7 +43,7 @@ int main() {
       Points.push_back(
           contentionPoint(CaseStudy::IdealHetero, Kernel, true, Channels));
     }
-  SweepRunner Runner;
+  SweepRunner Runner(0, Opts);
   std::vector<RunResult> Results = Runner.run(Points);
 
   TextTable Table({"kernel", "channels", "sequential-pass par_us",
@@ -59,7 +60,7 @@ int main() {
   }
   std::printf("%s\n", Table.render().c_str());
   std::fprintf(stderr, "%s\n", Runner.telemetry().summary().c_str());
-  appendBenchTiming("ablation_contention", Runner.telemetry());
+  appendBenchTiming("ablation_contention", Runner.telemetry(), Opts);
   std::printf("Enable with sys.interleaved_contention=true. With one CPU\n"
               "and one GPU core the interference is second-order (a few\n"
               "percent on the streaming kernel, none on cache-resident\n"

@@ -19,6 +19,7 @@
 using namespace hetsim;
 
 int main() {
+  RunOptions Opts = RunOptions::fromEnvironment();
   std::printf("=== Ablation F: energy per design point ===\n\n");
 
   for (KernelId Kernel : {KernelId::Reduction, KernelId::MergeSort}) {
@@ -27,7 +28,7 @@ int main() {
                      "comm", "uJ per us"});
     for (CaseStudy Study : allCaseStudies()) {
       SystemConfig Config = SystemConfig::forCaseStudy(Study);
-      HeteroSimulator Sim(Config);
+      HeteroSimulator Sim(Config, Opts);
       RunResult R = Sim.run(Kernel);
       bool Pci = Config.Connection == ConnectionKind::PciExpress;
       EnergyReport E =

@@ -18,6 +18,7 @@
 using namespace hetsim;
 
 int main() {
+  RunOptions Opts = RunOptions::fromEnvironment();
   std::printf("=== Ablation I: ring vs mesh NoC (IDEAL system) ===\n\n");
 
   TextTable Table({"kernel", "noc", "total_us", "noc msgs", "avg hops",
@@ -29,7 +30,7 @@ int main() {
       Overrides.set("mem.noc", Noc);
       SystemConfig Config =
           SystemConfig::forCaseStudy(CaseStudy::IdealHetero, Overrides);
-      HeteroSimulator Sim(Config);
+      HeteroSimulator Sim(Config, Opts);
       RunResult R = Sim.run(Kernel);
       const NocStats &Stats = Sim.memory().noc().stats();
       double AvgHops = Stats.Messages == 0

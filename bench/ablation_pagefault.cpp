@@ -17,6 +17,7 @@
 using namespace hetsim;
 
 int main() {
+  RunOptions Opts = RunOptions::fromEnvironment();
   std::printf("=== Ablation B: lib-pf sweep on LRB ===\n\n");
 
   static const uint64_t LibPfValues[] = {0,     5000,  20000,
@@ -39,7 +40,7 @@ int main() {
     Points.emplace_back(SystemConfig::forCaseStudy(CaseStudy::Lrb, Overrides),
                         KernelId::Reduction);
   }
-  SweepRunner Runner;
+  SweepRunner Runner(0, Opts);
   std::vector<RunResult> Results = Runner.run(Points);
 
   double PciComm = Results[0].Time.CommunicationNs / 1e3;
@@ -69,6 +70,6 @@ int main() {
   }
   std::printf("%s", Pages.render().c_str());
   std::fprintf(stderr, "%s\n", Runner.telemetry().summary().c_str());
-  appendBenchTiming("ablation_pagefault", Runner.telemetry());
+  appendBenchTiming("ablation_pagefault", Runner.telemetry(), Opts);
   return 0;
 }

@@ -18,6 +18,7 @@
 using namespace hetsim;
 
 int main() {
+  RunOptions Opts = RunOptions::fromEnvironment();
   std::printf("=== Ablation D: work partitioning (Qilin-style sweep, "
               "IDEAL system) ===\n\n");
 
@@ -28,7 +29,7 @@ int main() {
   std::printf("Reduction, total time vs CPU work fraction:\n\n");
   TextTable Curve({"cpu_fraction", "total_us", "parallel_us"});
   for (const PartitionPoint &Point :
-       sweepPartition(Config, KernelId::Reduction, 10, 0, &Telemetry))
+       sweepPartition(Config, KernelId::Reduction, 10, Opts, &Telemetry))
     Curve.addRow({formatDouble(Point.CpuFraction, 1),
                   formatDouble(Point.TotalNs / 1e3, 1),
                   formatDouble(Point.ParallelNs / 1e3, 1)});
@@ -43,7 +44,7 @@ int main() {
     // Matrix multiply is large; a coarser sweep suffices there.
     unsigned Steps = Kernel == KernelId::MatrixMul ? 4 : 10;
     std::vector<PartitionPoint> Points =
-        sweepPartition(Config, Kernel, Steps, 0, &Telemetry);
+        sweepPartition(Config, Kernel, Steps, Opts, &Telemetry);
     Total.merge(Telemetry);
     PartitionPoint BestPoint = Points.front();
     double EvenNs = 0;
@@ -64,6 +65,6 @@ int main() {
   std::printf("The paper's even split is the 0.5 column; the sweep shows\n"
               "how much an adaptive mapper (Qilin) could recover.\n");
   std::fprintf(stderr, "%s\n", Total.summary().c_str());
-  appendBenchTiming("ablation_partition", Total);
+  appendBenchTiming("ablation_partition", Total, Opts);
   return 0;
 }

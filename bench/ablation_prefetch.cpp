@@ -17,6 +17,7 @@
 using namespace hetsim;
 
 int main() {
+  RunOptions Opts = RunOptions::fromEnvironment();
   std::printf("=== Ablation E: L2 stream prefetching (IDEAL system) "
               "===\n\n");
 
@@ -40,7 +41,7 @@ int main() {
     for (const SystemConfig &Config : Prefetchers)
       Points.emplace_back(Config, Kernel);
   }
-  SweepRunner Runner;
+  SweepRunner Runner(0, Opts);
   std::vector<RunResult> Results = Runner.run(Points);
 
   TextTable Table({"kernel", "no prefetch us", "degree=1", "degree=2",
@@ -58,7 +59,7 @@ int main() {
   }
   std::printf("%s\n", Table.render().c_str());
   std::fprintf(stderr, "%s\n", Runner.telemetry().summary().c_str());
-  appendBenchTiming("ablation_prefetch", Runner.telemetry());
+  appendBenchTiming("ablation_prefetch", Runner.telemetry(), Opts);
   std::printf("Prefetching shortens parallel/sequential compute only; it\n"
               "does not change communication costs, so the case-study\n"
               "orderings of Figures 5/6 are unaffected.\n");

@@ -17,6 +17,7 @@
 using namespace hetsim;
 
 int main() {
+  RunOptions Opts = RunOptions::fromEnvironment();
   std::printf("=== Ablation G: disjoint space with vs without shared LLC "
               "(Section II-A2) ===\n\n");
 
@@ -25,7 +26,8 @@ int main() {
   for (KernelId Kernel :
        {KernelId::Reduction, KernelId::Convolution, KernelId::MergeSort,
         KernelId::KMeans}) {
-    HeteroSimulator Fusion(SystemConfig::forCaseStudy(CaseStudy::Fusion));
+    HeteroSimulator Fusion(SystemConfig::forCaseStudy(CaseStudy::Fusion),
+                           Opts);
     RunResult Private = Fusion.run(Kernel);
     double PrivateLat =
         Private.GpuTotal.MemAccesses == 0
@@ -34,7 +36,7 @@ int main() {
                   double(Private.GpuTotal.MemAccesses);
     uint64_t PrivateDram = Fusion.memory().cpuDram().stats().Reads;
 
-    HeteroSimulator Sandy(SystemConfig::sandyBridgeStyle());
+    HeteroSimulator Sandy(SystemConfig::sandyBridgeStyle(), Opts);
     RunResult Shared = Sandy.run(Kernel);
     double SharedLat = Shared.GpuTotal.MemAccesses == 0
                            ? 0

@@ -18,6 +18,7 @@
 using namespace hetsim;
 
 int main() {
+  RunOptions Opts = RunOptions::fromEnvironment();
   std::printf("=== Ablation K: GPU warp-count sweep (IDEAL system) ===\n\n");
 
   static const KernelId Kernels[] = {KernelId::Reduction,
@@ -31,7 +32,7 @@ int main() {
       Config.Gpu.NumWarps = Warps;
       Points.emplace_back(std::move(Config), Kernel);
     }
-  SweepRunner Runner;
+  SweepRunner Runner(0, Opts);
   std::vector<RunResult> Results = Runner.run(Points);
 
   TextTable Table({"kernel", "1 warp", "2", "4", "8", "16", "32",
@@ -56,7 +57,7 @@ int main() {
   }
   std::printf("%s\n", Table.render().c_str());
   std::fprintf(stderr, "%s\n", Runner.telemetry().summary().c_str());
-  appendBenchTiming("ablation_warps", Runner.telemetry());
+  appendBenchTiming("ablation_warps", Runner.telemetry(), Opts);
   std::printf("GPU-side microseconds per kernel round. The branchy merge\n"
               "sort (a stall per compare) and the streaming reduction gain\n"
               "the most from added warps; beyond the knee the cores sit on\n"

@@ -17,6 +17,7 @@
 using namespace hetsim;
 
 int main() {
+  RunOptions Opts = RunOptions::fromEnvironment();
   std::printf("=== Ablation H: extra workloads (stream triad, histogram, "
               "spmv) ===\n\n");
 
@@ -26,7 +27,7 @@ int main() {
     for (CaseStudy Study :
          {CaseStudy::CpuGpu, CaseStudy::Fusion, CaseStudy::IdealHetero}) {
       SystemConfig Config = SystemConfig::forCaseStudy(Study);
-      HeteroSimulator Sim(Config);
+      HeteroSimulator Sim(Config, Opts);
       LoweredProgram Program = buildExtraWorkload(Id, Config, 128 * 1024);
       RunResult R = Sim.runLowered(Program);
       Table.addRow({extraWorkloadName(Id), Config.Name,
@@ -41,7 +42,7 @@ int main() {
               "fraction vs size\n\n");
   TextTable Scale({"elements", "bytes moved", "total_us", "comm_frac"});
   SystemConfig Config = SystemConfig::forCaseStudy(CaseStudy::CpuGpu);
-  HeteroSimulator Sim(Config);
+  HeteroSimulator Sim(Config, Opts);
   for (uint64_t Elements : {4096ull, 16384ull, 65536ull, 262144ull,
                             1048576ull}) {
     LoweredProgram Program =

@@ -19,11 +19,12 @@
 using namespace hetsim;
 
 int main() {
+  RunOptions Opts = RunOptions::fromEnvironment();
   std::printf("=== Figure 5: case-study time breakdown ===\n\n");
   SweepTelemetry Telemetry;
-  std::vector<ExperimentRow> Rows = runCaseStudies({}, 0, &Telemetry);
+  std::vector<ExperimentRow> Rows = runCaseStudies({}, Opts, &Telemetry);
   TextTable Table = renderFigure5(Rows);
-  maybeExportCsv("fig5", Table);
+  maybeExportCsv("fig5", Table, Opts);
   std::printf("%s\n", Table.render().c_str());
 
   // The figure itself: stacked seq/par/comm bars, normalized per kernel
@@ -69,6 +70,6 @@ int main() {
   // Wall-clock telemetry goes to stderr so stdout stays byte-identical
   // across job counts (determinism checks diff it).
   std::fprintf(stderr, "%s\n", Telemetry.summary().c_str());
-  appendBenchTiming("fig5_case_studies", Telemetry);
+  appendBenchTiming("fig5_case_studies", Telemetry, Opts);
   return 0;
 }

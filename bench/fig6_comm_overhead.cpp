@@ -17,11 +17,12 @@
 using namespace hetsim;
 
 int main() {
+  RunOptions Opts = RunOptions::fromEnvironment();
   std::printf("=== Figure 6: communication overhead ===\n\n");
   SweepTelemetry Telemetry;
-  std::vector<ExperimentRow> Rows = runCaseStudies({}, 0, &Telemetry);
+  std::vector<ExperimentRow> Rows = runCaseStudies({}, Opts, &Telemetry);
   TextTable Table = renderFigure6(Rows);
-  maybeExportCsv("fig6", Table);
+  maybeExportCsv("fig6", Table, Opts);
   std::printf("%s\n", Table.render().c_str());
 
   for (KernelId Kernel : allKernels()) {
@@ -53,6 +54,6 @@ int main() {
   }
 
   std::fprintf(stderr, "%s\n", Telemetry.summary().c_str());
-  appendBenchTiming("fig6_comm_overhead", Telemetry);
+  appendBenchTiming("fig6_comm_overhead", Telemetry, Opts);
   return 0;
 }

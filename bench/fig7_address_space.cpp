@@ -17,12 +17,13 @@
 using namespace hetsim;
 
 int main() {
+  RunOptions Opts = RunOptions::fromEnvironment();
   std::printf("=== Figure 7: address-space options, ideal communication "
               "===\n\n");
   SweepTelemetry Telemetry;
-  std::vector<ExperimentRow> Rows = runAddressSpaceStudy({}, 0, &Telemetry);
+  std::vector<ExperimentRow> Rows = runAddressSpaceStudy({}, Opts, &Telemetry);
   TextTable Table = renderFigure7(Rows);
-  maybeExportCsv("fig7", Table);
+  maybeExportCsv("fig7", Table, Opts);
   std::printf("%s\n", Table.render().c_str());
 
   std::printf("Max spread across address spaces per kernel (paper: almost "
@@ -38,6 +39,6 @@ int main() {
                 100.0 * (Range[Kernel].second / Range[Kernel].first - 1.0));
 
   std::fprintf(stderr, "%s\n", Telemetry.summary().c_str());
-  appendBenchTiming("fig7_address_space", Telemetry);
+  appendBenchTiming("fig7_address_space", Telemetry, Opts);
   return 0;
 }

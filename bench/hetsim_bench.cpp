@@ -41,6 +41,7 @@ bool isPhase(const char *Name) {
 struct BenchOptions {
   bool Smoke = false;
   std::string Phase; ///< Empty = all phases.
+  RunOptions Run;
 
   bool runs(const char *Name) const {
     return Phase.empty() || Phase == Name;
@@ -50,8 +51,9 @@ struct BenchOptions {
 /// Appends a bench_timing.json record for a hand-timed phase: Points is
 /// the phase's native unit (records, runs, sweep points), so
 /// points_per_s carries its throughput.
-void reportPhase(const std::string &Bench, uint64_t Points,
-                 double WallSeconds, double TraceGenSeconds = 0) {
+void reportPhase(const BenchOptions &Opts, const std::string &Bench,
+                 uint64_t Points, double WallSeconds,
+                 double TraceGenSeconds = 0) {
   SweepTelemetry T;
   T.Jobs = 1;
   T.JobsSource = "explicit";
@@ -59,7 +61,7 @@ void reportPhase(const std::string &Bench, uint64_t Points,
   T.WallSeconds = WallSeconds;
   T.TraceGenSeconds = TraceGenSeconds;
   std::printf("  -> %s\n", T.summary().c_str());
-  appendBenchTiming(Bench, T);
+  appendBenchTiming(Bench, T, Opts.Run);
 }
 
 /// Phase 1: raw trace-generation throughput (records/s) per kernel.
@@ -84,7 +86,7 @@ void benchTraceGen(const BenchOptions &Opts) {
                 kernelName(Kernel), double(Trace.size()) / Secs / 1e6,
                 static_cast<unsigned long long>(Trace.size()), Secs);
   }
-  reportPhase("hetsim_bench_tracegen", Total, Timer.elapsedSeconds(),
+  reportPhase(Opts, "hetsim_bench_tracegen", Total, Timer.elapsedSeconds(),
               double(traceGenNanos()) * 1e-9 - GenBefore);
 }
 
@@ -104,7 +106,7 @@ void benchSingleRun(const BenchOptions &Opts) {
     SystemConfig Config = SystemConfig::forCaseStudy(Study);
     for (KernelId Kernel : Kernels) {
       WallTimer RunTimer;
-      HeteroSimulator Sim(Config);
+      HeteroSimulator Sim(Config, Opts.Run);
       RunResult Result = Sim.run(Kernel);
       std::printf("  %-12s %-12s %7.0f ms wall, %.3g sim-ns\n",
                   caseStudyName(Study), kernelName(Kernel),
@@ -112,7 +114,7 @@ void benchSingleRun(const BenchOptions &Opts) {
       ++Runs;
     }
   }
-  reportPhase("hetsim_bench_singlerun", Runs, Timer.elapsedSeconds(),
+  reportPhase(Opts, "hetsim_bench_singlerun", Runs, Timer.elapsedSeconds(),
               double(traceGenNanos()) * 1e-9 - GenBefore);
 }
 
@@ -129,10 +131,10 @@ void benchSweep(const BenchOptions &Opts) {
         continue;
       Points.emplace_back(SystemConfig::forCaseStudy(Study), Kernel);
     }
-  SweepRunner Runner(1);
+  SweepRunner Runner(1, Opts.Run);
   Runner.run(Points);
   std::printf("  -> %s\n", Runner.telemetry().summary().c_str());
-  appendBenchTiming("hetsim_bench_sweep", Runner.telemetry());
+  appendBenchTiming("hetsim_bench_sweep", Runner.telemetry(), Opts.Run);
 }
 
 /// Phase 4: regression gate — serving a trace from the cache must never
@@ -144,10 +146,6 @@ void benchSweep(const BenchOptions &Opts) {
 /// quietly pay for a cache that hurts.
 void benchCacheHit(const BenchOptions &Opts) {
   std::printf("=== cachehit: hit vs regeneration ===\n");
-  if (!TraceCache::global().enabled()) {
-    std::printf("  SKIP: HETSIM_TRACE_CACHE=0 bypasses the cache\n");
-    return;
-  }
   TraceCache::global().clear();
   const KernelId Kernel = KernelId::Reduction;
   KernelDataLayout Layout =
@@ -170,7 +168,7 @@ void benchCacheHit(const BenchOptions &Opts) {
   std::printf("  %llu records: regenerate %.6f s, cache hit %.6f s\n",
               static_cast<unsigned long long>(Cold->size()), RegenSecs,
               HitSecs);
-  reportPhase("hetsim_bench_cachehit", Cold->size(), HitSecs);
+  reportPhase(Opts, "hetsim_bench_cachehit", Cold->size(), HitSecs);
   if (Hit.get() != Cold.get()) {
     std::fprintf(stderr, "error: hit returned a different buffer\n");
     std::exit(1);
@@ -211,11 +209,11 @@ void benchScaling(const BenchOptions &Opts) {
   // single-flight keeps the parallel run from duplicating any of it.
   auto RunWith = [&](unsigned Jobs, const char *Bench) {
     TraceCache::global().clear();
-    SweepRunner Runner(Jobs);
+    SweepRunner Runner(Jobs, Opts.Run);
     Runner.run(Points);
     std::printf("  jobs=%u -> %s\n", Jobs,
                 Runner.telemetry().summary().c_str());
-    appendBenchTiming(Bench, Runner.telemetry());
+    appendBenchTiming(Bench, Runner.telemetry(), Opts.Run);
     return Runner.telemetry().WallSeconds;
   };
   double SerialSecs = RunWith(1, "hetsim_bench_scaling_serial");
@@ -236,6 +234,7 @@ void benchScaling(const BenchOptions &Opts) {
 
 int main(int Argc, char **Argv) {
   BenchOptions Opts;
+  Opts.Run = RunOptions::fromEnvironment();
   for (int I = 1; I != Argc; ++I) {
     if (std::strcmp(Argv[I], "--smoke") == 0) {
       Opts.Smoke = true;

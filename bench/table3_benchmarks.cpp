@@ -16,9 +16,10 @@
 using namespace hetsim;
 
 int main() {
+  RunOptions Opts = RunOptions::fromEnvironment();
   std::printf("=== Table III: benchmark characteristics (measured) ===\n\n");
   TextTable Table = renderTable3();
-  maybeExportCsv("table3", Table);
+  maybeExportCsv("table3", Table, Opts);
   std::printf("%s\n", Table.render().c_str());
 
   std::printf("Measured instruction mix of each generated CPU trace:\n\n");

@@ -15,11 +15,12 @@
 using namespace hetsim;
 
 int main() {
+  RunOptions Opts = RunOptions::fromEnvironment();
   std::printf("=== Table V: communication source lines ===\n");
   std::printf("(paper: matrix mul 0/2/9/6, merge sort 0/2/6/4, dct 0/2/6/4,"
               "\n reduction 0/2/9/6, convolution 0/4/9/6, k-mean 0/6/6/4)\n\n");
   TextTable Table = renderTable5();
-  maybeExportCsv("table5", Table);
+  maybeExportCsv("table5", Table, Opts);
   std::printf("%s\n", Table.render().c_str());
 
   std::printf("Ordering check (Section V-C): unified < partially shared "

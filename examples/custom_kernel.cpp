@@ -113,6 +113,7 @@ LoweredProgram makeStencilProgram(const SystemConfig &Config,
 } // namespace
 
 int main() {
+  RunOptions Opts = RunOptions::fromEnvironment();
   const uint64_t Points = 256 * 1024; // 1MB of f32 points.
   std::printf("Custom 5-point stencil over %llu points on two design "
               "points:\n\n",
@@ -120,7 +121,7 @@ int main() {
 
   for (CaseStudy Study : {CaseStudy::CpuGpu, CaseStudy::IdealHetero}) {
     SystemConfig Config = SystemConfig::forCaseStudy(Study);
-    HeteroSimulator Sim(Config);
+    HeteroSimulator Sim(Config, Opts);
     LoweredProgram Program = makeStencilProgram(Config, Points);
     RunResult R = Sim.runLowered(Program);
     std::printf("  %-14s total %8.1f us (par %8.1f, comm %6.1f)  "

@@ -18,11 +18,12 @@
 using namespace hetsim;
 
 int main() {
+  RunOptions Opts = RunOptions::fromEnvironment();
   // 1. Case studies on one representative kernel (merge sort: the
   //    paper's highest communication fraction).
   std::printf("1. Case-study systems on merge sort\n\n");
   for (CaseStudy Study : allCaseStudies()) {
-    HeteroSimulator Sim(SystemConfig::forCaseStudy(Study));
+    HeteroSimulator Sim(SystemConfig::forCaseStudy(Study), Opts);
     RunResult R = Sim.run(KernelId::MergeSort);
     std::printf("   %-14s total %7.1f us, comm %6.1f us (%4.1f%%)\n",
                 caseStudyName(Study), R.Time.totalNs() / 1e3,
@@ -37,7 +38,7 @@ int main() {
   for (AddressSpaceKind Kind :
        {AddressSpaceKind::Unified, AddressSpaceKind::PartiallyShared,
         AddressSpaceKind::Disjoint, AddressSpaceKind::Adsm}) {
-    HeteroSimulator Sim(SystemConfig::forAddressSpaceStudy(Kind));
+    HeteroSimulator Sim(SystemConfig::forAddressSpaceStudy(Kind), Opts);
     RunResult R = Sim.run(KernelId::MergeSort);
     MinTotal = std::min(MinTotal, R.Time.totalNs());
     MaxTotal = std::max(MaxTotal, R.Time.totalNs());
@@ -56,7 +57,7 @@ int main() {
     ConfigStore Overrides;
     Overrides.setInt("comm.api_pci_base", int64_t(Base));
     HeteroSimulator Sim(
-        SystemConfig::forCaseStudy(CaseStudy::CpuGpu, Overrides));
+        SystemConfig::forCaseStudy(CaseStudy::CpuGpu, Overrides), Opts);
     RunResult R = Sim.run(KernelId::MergeSort);
     std::printf("   api_pci_base=%-7llu comm %6.1f us\n",
                 (unsigned long long)Base, R.Time.CommunicationNs / 1e3);

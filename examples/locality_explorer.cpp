@@ -18,6 +18,7 @@
 using namespace hetsim;
 
 int main() {
+  RunOptions Opts = RunOptions::fromEnvironment();
   // 1. Which schemes does each address space admit?
   std::printf("1. Locality-management schemes per address space "
               "(Section II-B)\n\n");
@@ -44,7 +45,7 @@ int main() {
     Config.Hier.L3.Replacement = Shared == SharedLocality::Explicit
                                      ? ReplacementKind::HybridLru
                                      : ReplacementKind::Lru;
-    HeteroSimulator Sim(Config);
+    HeteroSimulator Sim(Config, Opts);
     RunResult R = Sim.run(KernelId::Reduction);
     std::printf("   %-12s total %7.2f us (push overhead %5.2f us, "
                 "%llu lines staged)\n",

@@ -17,11 +17,12 @@
 using namespace hetsim;
 
 int main() {
+  RunOptions Opts = RunOptions::fromEnvironment();
   std::printf("HetSim quickstart: reduction on two design points\n\n");
 
   for (CaseStudy Study : {CaseStudy::CpuGpu, CaseStudy::IdealHetero}) {
     SystemConfig Config = SystemConfig::forCaseStudy(Study);
-    HeteroSimulator Simulator(Config);
+    HeteroSimulator Simulator(Config, Opts);
     RunResult Result = Simulator.run(KernelId::Reduction);
 
     const TimeBreakdown &T = Result.Time;

@@ -4,7 +4,7 @@
 #      a broken build fails in seconds instead of after the sweeps)
 #   2. sanitizers: AddressSanitizer and UBSan builds + complete ctest
 #      suite, plus a ThreadSanitizer build running the concurrency suites
-#      (thread pool, trace cache, sweep runner, result store)
+#      (thread pool, trace cache, sweep runner, result store, run options)
 #   3. static analysis: scripts/lint.sh (clang-tidy against the pinned
 #      baseline, plus the hetsim_lint memory-model linter over the shipped
 #      design space), then the differential race-verifier fuzz gate
@@ -18,7 +18,8 @@
 # Usage: scripts/ci.sh
 #
 # Environment:
-#   HETSIM_JOBS       worker threads per sweep (default: all cores)
+#   HETSIM_JOBS       worker threads per sweep: unset or 0 for all cores, or
+#                     a positive integer
 #   HETSIM_SKIP_ASAN  set to 1 to skip the ASan leg of gate 2
 #   HETSIM_SKIP_UBSAN set to 1 to skip the UBSan leg of gate 2
 #   HETSIM_SKIP_TSAN  set to 1 to skip the TSan leg of gate 2
@@ -35,9 +36,10 @@ ctest --test-dir build -L sweep --output-on-failure -j "$JOBS" | tail -3
 echo "== gate 1b: fast-path differential + bench smoke =="
 # The windowed fast path must be bit-identical to the materialized
 # per-record reference (all six kernels on all five models), the tier
-# parser and sampled tier must hold, and the microbenchmark harness must
-# complete a smoke pass. (ctest -R is case-sensitive: the gtest names are
-# FastPath*/MemFast*.)
+# parser and sampled tier must hold (pinned bit-for-bit by
+# MemFastModes.SampledTierPinnedToRecordedResults), and the microbenchmark
+# harness must complete a smoke pass. (ctest -R is case-sensitive: the
+# gtest names are FastPath*/MemFast*/RunOptionsParse*.MemFast*.)
 ctest --test-dir build -R 'FastPath|MemFast' --output-on-failure \
   -j "$JOBS" | tail -3
 HETSIM_TIMING_JSON=build/bench-smoke-timing.json \
@@ -86,9 +88,9 @@ if [ "${HETSIM_SKIP_TSAN:-0}" != "1" ]; then
   # triple the gate's wall clock for no extra coverage.
   cmake -B build-tsan -S . -DHETSIM_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j "$JOBS" --target trace_cache_stress_test \
-    threadpool_test sweep_test result_store_test >/dev/null
+    threadpool_test sweep_test result_store_test run_options_test >/dev/null
   ctest --test-dir build-tsan \
-    -R 'TraceCache|ThreadPool|SweepRunner|ResultStore|Determinism' \
+    -R 'TraceCache|ThreadPool|SweepRunner|ResultStore|Determinism|RunOptions' \
     --output-on-failure -j "$JOBS" | tail -3
 else
   echo "== gate 2: TSan skipped (HETSIM_SKIP_TSAN=1) =="

@@ -3,7 +3,9 @@
 # installed) held against the pinned baseline in refs/lint-baseline.txt
 # -- any NEW warning fails; baselined ones are tolerated until paid down
 # -- plus the hetsim_lint memory-model linter over every shipped
-# (system x kernel) design point, which must be fully clean.
+# (system x kernel) design point, which must be fully clean, plus a check
+# that nothing in src/ or tools/ but src/common/RunOptions.cpp reads the
+# environment.
 #
 # Usage: scripts/lint.sh [builddir]   (default: build)
 #
@@ -19,6 +21,17 @@ if [ ! -f "$BUILD/CMakeCache.txt" ]; then
 fi
 
 STATUS=0
+
+echo "== environment reads =="
+# Every HETSIM_* knob is parsed once, by RunOptions::fromEnvironment();
+# the simulator and its tools receive the parsed value, never getenv.
+if STRAY=$(grep -rn 'getenv' src tools | grep -v '^src/common/RunOptions\.cpp:'); then
+  echo "lint: getenv outside src/common/RunOptions.cpp:" >&2
+  echo "$STRAY" >&2
+  STATUS=1
+else
+  echo "getenv: only in src/common/RunOptions.cpp"
+fi
 
 echo "== clang-tidy =="
 CLANG_TIDY="${CLANG_TIDY:-clang-tidy}"

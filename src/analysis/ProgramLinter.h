@@ -13,7 +13,7 @@
 /// lowering should have emitted.
 ///
 /// The three front ends share this one entry point: the hetsim_lint CLI,
-/// the HeteroSimulator pre-run hook (HETSIM_LINT=0 bypasses), and the
+/// the HeteroSimulator pre-run hook (always on), and the
 /// sweep-wide differential mode (analysis/SweepLinter.h).
 ///
 //===----------------------------------------------------------------------===//

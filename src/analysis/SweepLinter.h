@@ -69,7 +69,7 @@ struct SweepLintSummary {
 std::vector<SweepPoint> shippedDesignSpace();
 
 /// Lints every point of \p Points (fanning out over a ThreadPool; \p Jobs
-/// follows the ThreadPool convention, 0 = HETSIM_JOBS/hardware) and runs
+/// follows the ThreadPool convention, 0 = hardware threads) and runs
 /// the dynamic oracle under \p Model. Results keep submission order.
 SweepLintSummary lintSweep(const std::vector<SweepPoint> &Points,
                            unsigned Jobs = 0,

@@ -161,8 +161,9 @@ std::vector<SweepPoint> determinismPoints(const std::string &KernelFilter,
 /// Runs the sweep with \p Jobs workers and renders both comparable
 /// documents: the Figure-5-style table and the sweep metrics JSON.
 void runOnce(const std::vector<SweepPoint> &Points, unsigned Jobs,
-             std::string &Table, std::string &MetricsJson) {
-  SweepRunner Runner(Jobs);
+             const RunOptions &Opts, std::string &Table,
+             std::string &MetricsJson) {
+  SweepRunner Runner(Jobs, Opts);
   std::vector<RunResult> Results = Runner.run(Points);
 
   std::vector<ExperimentRow> Rows;
@@ -199,7 +200,9 @@ std::string firstDivergence(const std::string &A, const std::string &B) {
 } // namespace
 
 DeterminismOutcome
-hetsim::checkSweepDeterminism(unsigned Jobs, const std::string &KernelFilter) {
+hetsim::checkSweepDeterminism(unsigned Jobs, const std::string &KernelFilter,
+                              RunOptions Opts) {
+  Opts.ResultStoreDir.clear();
   DeterminismOutcome Outcome;
   if (Jobs < 2)
     Jobs = 2;
@@ -214,9 +217,9 @@ hetsim::checkSweepDeterminism(unsigned Jobs, const std::string &KernelFilter) {
   Outcome.Points = Points.size();
 
   std::string SerialTable, SerialMetrics;
-  runOnce(Points, 1, SerialTable, SerialMetrics);
+  runOnce(Points, 1, Opts, SerialTable, SerialMetrics);
   std::string ParallelTable, ParallelMetrics;
-  runOnce(Points, Jobs, ParallelTable, ParallelMetrics);
+  runOnce(Points, Jobs, Opts, ParallelTable, ParallelMetrics);
 
   if (SerialTable != ParallelTable) {
     Outcome.Detail =

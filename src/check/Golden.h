@@ -24,6 +24,7 @@
 
 #include "check/Compare.h"
 #include "check/Fidelity.h"
+#include "common/RunOptions.h"
 
 #include <string>
 #include <vector>
@@ -80,8 +81,11 @@ struct DeterminismOutcome {
 /// when non-empty) once serially and once with \p Jobs workers, and
 /// byte-compares the rendered Figure-5-style table and the sweep metrics
 /// document. \p Jobs of 0 or 1 is promoted to 2 so the probe is real.
+/// Both runs simulate under \p Opts, minus its result store, which would
+/// serve the parallel run from the serial run's entries.
 DeterminismOutcome checkSweepDeterminism(unsigned Jobs,
-                                         const std::string &KernelFilter);
+                                         const std::string &KernelFilter,
+                                         RunOptions Opts);
 
 } // namespace hetsim
 

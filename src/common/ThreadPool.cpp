@@ -3,18 +3,11 @@
 #include "common/ThreadPool.h"
 
 #include <atomic>
-#include <cstdlib>
 #include <memory>
 
 using namespace hetsim;
 
 unsigned ThreadPool::defaultJobs() {
-  if (const char *Env = std::getenv("HETSIM_JOBS")) {
-    char *End = nullptr;
-    long Value = std::strtol(Env, &End, 10);
-    if (End != Env && *End == '\0' && Value >= 1)
-      return static_cast<unsigned>(Value);
-  }
   unsigned Hw = std::thread::hardware_concurrency();
   return Hw == 0 ? 1 : Hw;
 }

@@ -3,8 +3,8 @@
 /// \file
 /// A fixed-size pool of std::jthread workers with a parallelFor primitive,
 /// used by the sweep engine to fan independent simulations out over cores.
-/// The worker count comes from the HETSIM_JOBS environment variable when
-/// set, otherwise from std::thread::hardware_concurrency(). A pool of one
+/// The worker count is the caller's (RunOptions::Jobs for the sweep
+/// engine), otherwise std::thread::hardware_concurrency(). A pool of one
 /// job runs everything inline on the calling thread, so jobs=1 reproduces
 /// the serial harness exactly and golden-value tests can bisect
 /// determinism problems between the scheduler and the models.
@@ -39,8 +39,7 @@ public:
   /// The pool's parallelism (>= 1).
   unsigned jobs() const { return JobCount; }
 
-  /// The environment-configured job count: HETSIM_JOBS when set to a
-  /// positive integer, else hardware_concurrency(), never less than 1.
+  /// The hardware job count: hardware_concurrency(), never less than 1.
   static unsigned defaultJobs();
 
   /// Runs Fn(0) .. Fn(N-1), distributing indices dynamically over the

@@ -8,7 +8,6 @@
 #include "core/SystemDescriptor.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 
 using namespace hetsim;
@@ -17,15 +16,15 @@ namespace {
 /// Fans a (system x kernel) grid out over the sweep engine and zips the
 /// results back into presentation-ordered rows.
 std::vector<ExperimentRow>
-runSystemKernelGrid(const std::vector<SystemConfig> &Systems, unsigned Jobs,
-                    SweepTelemetry *Telemetry) {
+runSystemKernelGrid(const std::vector<SystemConfig> &Systems,
+                    const RunOptions &Opts, SweepTelemetry *Telemetry) {
   std::vector<SweepPoint> Points;
   Points.reserve(Systems.size() * allKernels().size());
   for (const SystemConfig &Config : Systems)
     for (KernelId Kernel : allKernels())
       Points.emplace_back(Config, Kernel);
 
-  SweepRunner Runner(Jobs);
+  SweepRunner Runner(0, Opts);
   std::vector<RunResult> Results = Runner.run(Points);
   if (Telemetry)
     *Telemetry = Runner.telemetry();
@@ -44,16 +43,17 @@ runSystemKernelGrid(const std::vector<SystemConfig> &Systems, unsigned Jobs,
 } // namespace
 
 std::vector<ExperimentRow>
-hetsim::runCaseStudies(const ConfigStore &Overrides, unsigned Jobs,
+hetsim::runCaseStudies(const ConfigStore &Overrides, const RunOptions &Opts,
                        SweepTelemetry *Telemetry) {
   std::vector<SystemConfig> Systems;
   for (CaseStudy Study : allCaseStudies())
     Systems.push_back(SystemConfig::forCaseStudy(Study, Overrides));
-  return runSystemKernelGrid(Systems, Jobs, Telemetry);
+  return runSystemKernelGrid(Systems, Opts, Telemetry);
 }
 
 std::vector<ExperimentRow>
-hetsim::runAddressSpaceStudy(const ConfigStore &Overrides, unsigned Jobs,
+hetsim::runAddressSpaceStudy(const ConfigStore &Overrides,
+                             const RunOptions &Opts,
                              SweepTelemetry *Telemetry) {
   static const AddressSpaceKind Kinds[] = {
       AddressSpaceKind::Unified, AddressSpaceKind::PartiallyShared,
@@ -61,7 +61,7 @@ hetsim::runAddressSpaceStudy(const ConfigStore &Overrides, unsigned Jobs,
   std::vector<SystemConfig> Systems;
   for (AddressSpaceKind Kind : Kinds)
     Systems.push_back(SystemConfig::forAddressSpaceStudy(Kind, Overrides));
-  return runSystemKernelGrid(Systems, Jobs, Telemetry);
+  return runSystemKernelGrid(Systems, Opts, Telemetry);
 }
 
 namespace {
@@ -131,12 +131,11 @@ TextTable hetsim::renderFigure7(const std::vector<ExperimentRow> &Rows) {
   return Table;
 }
 
-bool hetsim::maybeExportCsv(const std::string &Name,
-                            const TextTable &Table) {
-  const char *Dir = std::getenv("HETSIM_CSV_DIR");
-  if (!Dir || Dir[0] == '\0')
+bool hetsim::maybeExportCsv(const std::string &Name, const TextTable &Table,
+                            const RunOptions &Opts) {
+  if (Opts.CsvDir.empty())
     return false;
-  std::string Path = std::string(Dir) + "/" + Name + ".csv";
+  std::string Path = Opts.CsvDir + "/" + Name + ".csv";
   std::FILE *File = std::fopen(Path.c_str(), "w");
   if (!File) {
     HETSIM_WARN("cannot write CSV export to %s", Path.c_str());
@@ -234,7 +233,7 @@ TextTable hetsim::renderTable4(const CommParams &Params) {
 
 std::vector<PartitionPoint>
 hetsim::sweepPartition(const SystemConfig &Config, KernelId Kernel,
-                       unsigned Steps, unsigned Jobs,
+                       unsigned Steps, const RunOptions &Opts,
                        SweepTelemetry *Telemetry) {
   std::vector<SweepPoint> Grid;
   Grid.reserve(Steps + 1);
@@ -244,7 +243,7 @@ hetsim::sweepPartition(const SystemConfig &Config, KernelId Kernel,
     Grid.emplace_back(std::move(Variant), Kernel);
   }
 
-  SweepRunner Runner(Jobs);
+  SweepRunner Runner(0, Opts);
   std::vector<RunResult> Results = Runner.run(Grid);
   if (Telemetry)
     *Telemetry = Runner.telemetry();

@@ -23,20 +23,21 @@ struct ExperimentRow {
 };
 
 /// Runs all six kernels on the five case-study systems (Figures 5 and 6)
-/// through the parallel sweep engine. \p Jobs selects the worker count
-/// (0 = HETSIM_JOBS / hardware_concurrency; 1 = serial); rows come back
-/// in the fixed (system, kernel) presentation order regardless of job
-/// count. When \p Telemetry is non-null the sweep's wall-clock stats are
-/// stored there.
+/// through the parallel sweep engine under \p Opts (Opts.Jobs selects the
+/// worker count: 0 = hardware_concurrency, 1 = serial); rows come back in
+/// the fixed (system, kernel) presentation order regardless of job count.
+/// When \p Telemetry is non-null the sweep's wall-clock stats are stored
+/// there.
 std::vector<ExperimentRow> runCaseStudies(const ConfigStore &Overrides = {},
-                                          unsigned Jobs = 0,
+                                          const RunOptions &Opts = {},
                                           SweepTelemetry *Telemetry = nullptr);
 
 /// Runs all six kernels on the four address-space options with shared
 /// cache and ideal communication (Figure 7). Same sweep-engine contract
 /// as runCaseStudies.
 std::vector<ExperimentRow>
-runAddressSpaceStudy(const ConfigStore &Overrides = {}, unsigned Jobs = 0,
+runAddressSpaceStudy(const ConfigStore &Overrides = {},
+                     const RunOptions &Opts = {},
                      SweepTelemetry *Telemetry = nullptr);
 
 /// Figure 5: execution time (normalized to IDEAL-HETERO per kernel, when
@@ -74,22 +75,23 @@ struct PartitionPoint {
 };
 
 /// Runs \p Kernel on \p Config at Steps+1 evenly spaced CPU fractions
-/// in [0, 1] through the sweep engine and returns the measured points in
-/// fraction order.
+/// in [0, 1] through the sweep engine under \p Opts and returns the
+/// measured points in fraction order.
 std::vector<PartitionPoint> sweepPartition(const SystemConfig &Config,
                                            KernelId Kernel,
                                            unsigned Steps = 10,
-                                           unsigned Jobs = 0,
+                                           const RunOptions &Opts = {},
                                            SweepTelemetry *Telemetry = nullptr);
 
 /// Returns the sweep point with the lowest total time.
 PartitionPoint findBestPartition(const SystemConfig &Config, KernelId Kernel,
                                  unsigned Steps = 10);
 
-/// Writes \p Table as CSV to $HETSIM_CSV_DIR/<Name>.csv when that
-/// environment variable is set (machine-readable experiment export).
-/// Returns true if a file was written.
-bool maybeExportCsv(const std::string &Name, const TextTable &Table);
+/// Writes \p Table as CSV to <Opts.CsvDir>/<Name>.csv when that directory
+/// is set (machine-readable experiment export). Returns true if a file
+/// was written.
+bool maybeExportCsv(const std::string &Name, const TextTable &Table,
+                    const RunOptions &Opts);
 
 } // namespace hetsim
 

@@ -15,7 +15,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 
 using namespace hetsim;
 
@@ -41,7 +40,8 @@ void accumulate(SegmentResult &Total, const SegmentResult &Part) {
 }
 } // namespace
 
-HeteroSimulator::HeteroSimulator(const SystemConfig &Cfg) : Config(Cfg) {
+HeteroSimulator::HeteroSimulator(const SystemConfig &Cfg, RunOptions O)
+    : Config(Cfg), Opts(std::move(O)) {
   buildMachine();
 }
 
@@ -53,7 +53,7 @@ MemorySystem &HeteroSimulator::memory() {
 }
 
 void HeteroSimulator::buildMachine() {
-  Mem = std::make_unique<MemorySystem>(Config.Hier);
+  Mem = std::make_unique<MemorySystem>(Config.Hier, Opts.Tier);
   Cpu = std::make_unique<CpuCore>(Config.Cpu, *Mem);
   Gpu = std::make_unique<GpuCore>(Config.Gpu, *Mem);
   Ownership.clear();
@@ -92,28 +92,16 @@ std::unique_ptr<CommFabric> HeteroSimulator::buildFabric() {
 }
 
 RunResult HeteroSimulator::run(KernelId Kernel) {
-  LoweredProgram Program = lowerKernel(Kernel, Config);
+  LoweredProgram Program = lowerKernel(Kernel, Config, Opts);
   return runLowered(Program);
 }
-
-namespace {
-/// The pre-run lint hook is on by default; HETSIM_LINT=0 bypasses it
-/// (e.g. to run a deliberately broken lowering into the dynamic checker).
-bool lintEnabled() {
-  static const bool Enabled = [] {
-    const char *Env = std::getenv("HETSIM_LINT");
-    return Env == nullptr || std::string(Env) != "0";
-  }();
-  return Enabled;
-}
-} // namespace
 
 RunResult HeteroSimulator::runLowered(const LoweredProgram &Program) {
   // Static pre-run validation: the memory-model linter proves the
   // lowering legal for this design point before any cycles are spent.
   // Errors are lowering bugs and abort the run; warnings (dead copies)
   // are left to hetsim_lint so sweeps stay quiet.
-  if (Program.BuiltFromKernel && lintEnabled()) {
+  if (Program.BuiltFromKernel) {
     LintReport Report = lintProgram(Program, Config);
     if (Report.errorCount() != 0) {
       for (const LintDiagnostic &D : Report.Diags)
@@ -125,7 +113,7 @@ RunResult HeteroSimulator::runLowered(const LoweredProgram &Program) {
                                  : "end")
                         .c_str());
       fatalError("pre-run lint found memory-model hazards in the lowered "
-                 "program (set HETSIM_LINT=0 to bypass)");
+                 "program");
     }
   }
 
@@ -423,11 +411,11 @@ RunResult HeteroSimulator::runLowered(const LoweredProgram &Program) {
     Trace.complete(TraceTrack::Coherence, "coh_remote_total", 0.0,
                    CpuUs(CpuNow), "events", Remote);
 
-  if (traceEventsEnabled()) {
+  if (!Opts.TraceEventsDir.empty()) {
     std::string RunName =
         Config.Name + "_" +
         (Program.BuiltFromKernel ? kernelName(Program.Kernel) : "custom");
-    std::string Path = traceEventPath(RunName);
+    std::string Path = traceEventPath(Opts.TraceEventsDir, RunName);
     if (!Trace.writeFile(Path, RunName))
       HETSIM_WARN("cannot write trace events to %s", Path.c_str());
   }
@@ -463,7 +451,7 @@ MetricsSnapshot HeteroSimulator::collectMetrics(const RunResult &Result) {
   M.add("run.gpu.mem_accesses", double(Result.GpuTotal.MemAccesses));
   M.add("run.gpu.mem_latency_max", double(Result.GpuTotal.MemLatencyMax));
 
-  // Sampled memory tier accounting (zero outside HETSIM_MEMFAST=sampled):
+  // Sampled memory tier accounting (zero on the exact tier):
   // how much of the stream was extrapolated and the reported error bound.
   M.add("run.sampled_records", double(Result.CpuTotal.SampledRecords +
                                       Result.GpuTotal.SampledRecords));

@@ -57,10 +57,12 @@ struct RunResult {
 };
 
 /// One simulated system instance. Construct once per configuration; each
-/// run() builds a fresh memory system so runs are independent.
+/// run() builds a fresh memory system so runs are independent. \p Opts
+/// supplies the fidelity tier, the trace source and the trace-event
+/// directory.
 class HeteroSimulator {
 public:
-  explicit HeteroSimulator(const SystemConfig &Config);
+  explicit HeteroSimulator(const SystemConfig &Config, RunOptions Opts = {});
   ~HeteroSimulator();
 
   /// Lowers and runs \p Kernel.
@@ -75,8 +77,8 @@ public:
   MemorySystem &memory();
 
   /// The event timeline of the most recent run. Populated on every run;
-  /// written to `$HETSIM_TRACE_EVENTS/<system>_<kernel>.trace.json` when
-  /// that variable names a directory.
+  /// written to `<TraceEventsDir>/<system>_<kernel>.trace.json` when the
+  /// options name a directory.
   const TraceEventLog &trace() const { return Trace; }
 
   /// Flattens \p Result plus the last run's memory-system state into a
@@ -89,6 +91,7 @@ private:
   std::unique_ptr<CommFabric> buildFabric();
 
   SystemConfig Config;
+  RunOptions Opts;
   std::unique_ptr<MemorySystem> Mem;
   std::unique_ptr<CpuCore> Cpu;
   std::unique_ptr<GpuCore> Gpu;

@@ -60,8 +60,8 @@ namespace {
 /// Stateful helper that walks the abstract phases and appends steps.
 class LoweringContext {
 public:
-  LoweringContext(KernelId K, const SystemConfig &Cfg)
-      : Kernel(K), Config(Cfg) {
+  LoweringContext(KernelId K, const SystemConfig &Cfg, const RunOptions &O)
+      : Kernel(K), Config(Cfg), Opts(O) {
     Program = KernelProgram::build(K);
     Out.Kernel = K;
     Out.Place = AddressSpaceModel::forKind(Cfg.AddrSpace).place(K);
@@ -157,7 +157,7 @@ private:
     ExecStep Step;
     Step.Kind = ExecKind::SerialCompute;
     Step.CpuTrace = TraceCache::global().serialShared(
-        Kernel, Phase.SerialInsts, Out.Place.CpuLayout, SeedCounter++);
+        Kernel, Phase.SerialInsts, Out.Place.CpuLayout, SeedCounter++, Opts);
     Out.Steps.push_back(std::move(Step));
   }
 
@@ -231,15 +231,15 @@ private:
     CpuReq.InstCount = ScaledCpu;
     CpuReq.Seed = SeedCounter++;
     CpuReq.Split = WorkSplit::FirstHalf;
-    Step.CpuTrace = TraceCache::global().computeShared(Kernel, CpuReq,
-                                                       Out.Place.CpuLayout);
+    Step.CpuTrace = TraceCache::global().computeShared(
+        Kernel, CpuReq, Out.Place.CpuLayout, Opts);
     GenRequest GpuReq;
     GpuReq.Pu = PuKind::Gpu;
     GpuReq.InstCount = ScaledGpu;
     GpuReq.Seed = SeedCounter++;
     GpuReq.Split = WorkSplit::SecondHalf;
-    Step.GpuTrace = TraceCache::global().computeShared(Kernel, GpuReq,
-                                                       Out.Place.GpuLayout);
+    Step.GpuTrace = TraceCache::global().computeShared(
+        Kernel, GpuReq, Out.Place.GpuLayout, Opts);
     Step.PageFaultPages = Config.IdealComm ? 0 : newGpuFaultPages();
     Out.Steps.push_back(std::move(Step));
   }
@@ -330,6 +330,7 @@ private:
 
   KernelId Kernel;
   const SystemConfig &Config;
+  const RunOptions &Opts;
   KernelProgram Program;
   LoweredProgram Out;
   uint64_t SeedCounter = 1;
@@ -343,6 +344,7 @@ private:
 } // namespace
 
 LoweredProgram hetsim::lowerKernel(KernelId Kernel,
-                                   const SystemConfig &Config) {
-  return LoweringContext(Kernel, Config).take();
+                                   const SystemConfig &Config,
+                                   const RunOptions &Opts) {
+  return LoweringContext(Kernel, Config, Opts).take();
 }

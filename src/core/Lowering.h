@@ -15,6 +15,7 @@
 #ifndef HETSIM_CORE_LOWERING_H
 #define HETSIM_CORE_LOWERING_H
 
+#include "common/RunOptions.h"
 #include "core/KernelModel.h"
 #include "core/SourceLineModel.h"
 #include "core/SystemConfig.h"
@@ -75,8 +76,10 @@ struct LoweredProgram {
   uint64_t totalPageFaultPages() const;
 };
 
-/// Lowers \p Kernel for \p Config.
-LoweredProgram lowerKernel(KernelId Kernel, const SystemConfig &Config);
+/// Lowers \p Kernel for \p Config, taking its traces from the trace cache
+/// as \p Opts directs.
+LoweredProgram lowerKernel(KernelId Kernel, const SystemConfig &Config,
+                           const RunOptions &Opts = {});
 
 } // namespace hetsim
 

@@ -250,11 +250,6 @@ uint64_t hetsim::hashLoweredTraces(const LoweredProgram &Program) {
 
 ResultStore::ResultStore(std::string Dir) : Root(std::move(Dir)) {}
 
-ResultStore ResultStore::fromEnvironment() {
-  const char *Env = std::getenv("HETSIM_RESULT_STORE");
-  return ResultStore(Env ? Env : "");
-}
-
 ResultStore::Key ResultStore::keyFor(const SystemConfig &Config,
                                      const LoweredProgram &Program,
                                      MemFastMode Tier) {

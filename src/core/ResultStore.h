@@ -4,7 +4,7 @@
 /// An on-disk cache of finished sweep points, keyed by *content*: the
 /// FNV-1a fingerprint of the fully resolved SystemConfig, the fingerprint
 /// of every trace the lowered program will execute, the memory fidelity
-/// tier (HETSIM_MEMFAST), and a code-version constant that is bumped
+/// tier (RunOptions::Tier), and a code-version constant that is bumped
 /// whenever simulator semantics change. Two sweep points with the same key
 /// are guaranteed to produce the same RunResult (the simulator is
 /// deterministic in exactly those inputs), so a stored entry can be served
@@ -21,8 +21,8 @@
 /// can never leave a half-entry that a resume would trust; a corrupt or
 /// truncated file is treated as a miss and overwritten.
 ///
-/// Enabled by HETSIM_RESULT_STORE=<dir> (the sweep runner picks it up) or
-/// `hetsim sweep --resume [--store <dir>]`.
+/// Enabled by RunOptions::ResultStoreDir, set from HETSIM_RESULT_STORE=<dir>
+/// or `hetsim sweep --resume [--store <dir>]`.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,7 +31,6 @@
 
 #include "core/HeteroSimulator.h"
 #include "core/Lowering.h"
-#include "memory/MemFast.h"
 #include "obs/Metrics.h"
 
 #include <atomic>
@@ -78,9 +77,6 @@ public:
   /// \p Dir disables the store: load() always misses, save() is a no-op.
   explicit ResultStore(std::string Dir);
 
-  /// The HETSIM_RESULT_STORE-configured store (disabled when unset).
-  static ResultStore fromEnvironment();
-
   bool enabled() const { return !Root.empty(); }
   const std::string &root() const { return Root; }
 
@@ -88,7 +84,7 @@ public:
   /// override-applied configuration \p Program was lowered for, and
   /// \p Tier the fidelity tier the point is simulated on.
   static Key keyFor(const SystemConfig &Config, const LoweredProgram &Program,
-                    MemFastMode Tier = memFastMode());
+                    MemFastMode Tier);
 
   /// Loads the entry for \p K. Returns false on miss or on a corrupt /
   /// truncated / version-mismatched file (which a later save overwrites).

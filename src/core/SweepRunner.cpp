@@ -13,7 +13,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 
 using namespace hetsim;
@@ -47,30 +46,20 @@ void SweepTelemetry::merge(const SweepTelemetry &Other) {
   StoreMisses += Other.StoreMisses;
 }
 
-/// Where a zero job-count request actually resolved from.
-static std::string resolveJobsSource(unsigned Requested) {
-  if (Requested != 0)
-    return "explicit";
-  if (const char *Env = std::getenv("HETSIM_JOBS")) {
-    char *End = nullptr;
-    long Value = std::strtol(Env, &End, 10);
-    if (End != Env && *End == '\0' && Value >= 1)
-      return "HETSIM_JOBS";
-  }
-  return "hardware";
+SweepRunner::SweepRunner(unsigned JobCount, RunOptions O)
+    : Jobs(JobCount), JobsSource("explicit"), Opts(std::move(O)) {
+  if (Jobs != 0)
+    return;
+  Jobs = Opts.Jobs != 0 ? Opts.Jobs : ThreadPool::defaultJobs();
+  JobsSource = Opts.Jobs != 0 ? "HETSIM_JOBS" : "hardware";
 }
-
-SweepRunner::SweepRunner(unsigned JobCount)
-    : Jobs(JobCount == 0 ? ThreadPool::defaultJobs() : JobCount),
-      JobsSource(resolveJobsSource(JobCount)) {}
 
 std::vector<RunResult>
 SweepRunner::run(const std::vector<SweepPoint> &Points) {
   std::vector<RunResult> Results(Points.size());
   Metrics.assign(Points.size(), MetricsSnapshot());
 
-  ResultStore Store =
-      StoreDir.empty() ? ResultStore::fromEnvironment() : ResultStore(StoreDir);
+  ResultStore Store(Opts.ResultStoreDir);
 
   // Per-worker phase counters. Worker ids from parallelForWorkers are
   // stable in [0, min(Points, Jobs)), so each worker owns one slot and
@@ -103,11 +92,10 @@ SweepRunner::run(const std::vector<SweepPoint> &Points) {
       uint64_t GenStart = threadTraceGenNanos();
       uint64_t WaitStart = threadTraceCacheWaitNanos();
 
-      HeteroSimulator Simulator(Config);
+      HeteroSimulator Simulator(Config, Opts);
       if (Store.enabled()) {
-        LoweredProgram Program = lowerKernel(Point.Kernel, Config);
-        ResultStore::Key K = ResultStore::keyFor(
-            Config, Program, Simulator.memory().memFastModeCached());
+        LoweredProgram Program = lowerKernel(Point.Kernel, Config, Opts);
+        ResultStore::Key K = ResultStore::keyFor(Config, Program, Opts.Tier);
         ResultStore::Entry E;
         if (Store.load(K, E)) {
           Results[I] = E.Result;
@@ -133,10 +121,11 @@ SweepRunner::run(const std::vector<SweepPoint> &Points) {
     });
   }
 
-  if (const char *Env = std::getenv("HETSIM_METRICS_JSON"))
-    if (Env[0] != '\0' &&
-        !writeTextFile(Env, renderSweepMetricsJson(Points, Metrics) + "\n"))
-      HETSIM_WARN("cannot write sweep metrics to %s", Env);
+  if (!Opts.MetricsJsonPath.empty() &&
+      !writeTextFile(Opts.MetricsJsonPath,
+                     renderSweepMetricsJson(Points, Metrics) + "\n"))
+    HETSIM_WARN("cannot write sweep metrics to %s",
+                Opts.MetricsJsonPath.c_str());
 
   Telemetry = SweepTelemetry();
   Telemetry.Jobs = Jobs;
@@ -183,11 +172,10 @@ hetsim::renderSweepMetricsJson(const std::vector<SweepPoint> &Points,
 }
 
 bool hetsim::appendBenchTiming(const std::string &Bench,
-                               const SweepTelemetry &T) {
-  std::string Path = "out/bench_timing.json";
-  if (const char *Env = std::getenv("HETSIM_TIMING_JSON"))
-    if (Env[0] != '\0')
-      Path = Env;
+                               const SweepTelemetry &T,
+                               const RunOptions &Opts) {
+  std::string Path = Opts.TimingJsonPath.empty() ? "out/bench_timing.json"
+                                                 : Opts.TimingJsonPath;
 
   std::error_code Ec;
   std::filesystem::path Parent = std::filesystem::path(Path).parent_path();

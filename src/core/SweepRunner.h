@@ -49,7 +49,7 @@ struct SweepPoint {
 struct SweepTelemetry {
   unsigned Jobs = 1;      ///< Worker count the sweep ran with.
   /// Where Jobs came from: "explicit" (caller passed a count),
-  /// "HETSIM_JOBS" (environment), or "hardware" (hardware_concurrency).
+  /// "HETSIM_JOBS" (RunOptions::Jobs), or "hardware" (hardware_concurrency).
   std::string JobsSource = "explicit";
   uint64_t Points = 0;    ///< Sweep points executed.
   double WallSeconds = 0; ///< End-to-end wall time of the sweep.
@@ -114,28 +114,25 @@ struct SweepTelemetry {
 };
 
 /// Runs sweeps. Construct with an explicit job count, or 0 to take
-/// HETSIM_JOBS / hardware_concurrency(). jobs=1 executes inline on the
-/// calling thread in submission order (the serial harness).
+/// \p Opts.Jobs, or hardware_concurrency() when that is 0 too. jobs=1
+/// executes inline on the calling thread in submission order (the serial
+/// harness). Every point is simulated under \p Opts; a non-empty
+/// Opts.ResultStoreDir routes results through a content-addressed
+/// on-disk store (see core/ResultStore.h): completed points are
+/// persisted, already-stored points are served without simulating.
 class SweepRunner {
 public:
-  explicit SweepRunner(unsigned Jobs = 0);
+  explicit SweepRunner(unsigned Jobs = 0, RunOptions Opts = {});
 
   /// Runs every point and returns results in submission order.
   std::vector<RunResult> run(const std::vector<SweepPoint> &Points);
-
-  /// Routes results through a content-addressed on-disk store rooted at
-  /// \p Dir (see core/ResultStore.h): completed points are persisted,
-  /// already-stored points are served without simulating. Overrides the
-  /// HETSIM_RESULT_STORE environment default; an empty \p Dir returns to
-  /// that default.
-  void setResultStoreDir(std::string Dir) { StoreDir = std::move(Dir); }
 
   /// Telemetry of the most recent run().
   const SweepTelemetry &telemetry() const { return Telemetry; }
 
   /// Per-point metrics snapshots of the most recent run(), in submission
   /// order (same index space as the returned results). When
-  /// $HETSIM_METRICS_JSON names a file, run() also dumps these as one
+  /// Opts.MetricsJsonPath names a file, run() also dumps these as one
   /// "hetsim-sweep-metrics-v1" document there.
   const std::vector<MetricsSnapshot> &metrics() const { return Metrics; }
 
@@ -144,7 +141,7 @@ public:
 private:
   unsigned Jobs;
   std::string JobsSource;
-  std::string StoreDir;
+  RunOptions Opts;
   SweepTelemetry Telemetry;
   std::vector<MetricsSnapshot> Metrics;
 };
@@ -156,9 +153,10 @@ std::string renderSweepMetricsJson(const std::vector<SweepPoint> &Points,
                                    const std::vector<MetricsSnapshot> &Metrics);
 
 /// Appends one JSON record for \p Bench to the timing log. The path is
-/// $HETSIM_TIMING_JSON when set, else out/bench_timing.json (directories
+/// Opts.TimingJsonPath when set, else out/bench_timing.json (directories
 /// are created as needed). Returns true if a record was written.
-bool appendBenchTiming(const std::string &Bench, const SweepTelemetry &T);
+bool appendBenchTiming(const std::string &Bench, const SweepTelemetry &T,
+                       const RunOptions &Opts);
 
 } // namespace hetsim
 

@@ -3,9 +3,7 @@
 #include "cpu/CpuCore.h"
 
 #include "common/FlatMap.h"
-#include "memory/MemFast.h"
-#include "memory/MemorySystem.h"
-#include "trace/ComputeBlock.h"
+#include "cpu/BlockDriver.h"
 
 #include <algorithm>
 #include <cassert>
@@ -38,9 +36,9 @@ CpuCore::CpuCore(const CpuConfig &Cfg, MemorySystem &Memory)
 namespace {
 
 /// The full per-segment pipeline state, with the reference per-record
-/// update in step(). The reference, windowed and sampled paths all drive
-/// this *same* update code — exactness by construction, not by parallel
-/// maintenance of several loops.
+/// update in step(). Every path drives this *same* update code through
+/// the block driver (cpu/BlockDriver.h) — exactness by construction, not
+/// by parallel maintenance of several loops.
 struct CpuPipeline {
   const CpuConfig &Config;
   MemorySystem &Mem;
@@ -190,6 +188,24 @@ struct CpuPipeline {
     for (size_t Index = 0; Index != Count; ++Index)
       step(Records[Index]);
   }
+
+  Cycle clock() const { return LastRetire; }
+
+  void translate(Cycle Adv, uint64_t SkippedRecords) {
+    FetchCycle += Adv;
+    IssueBusyCycle += Adv;
+    LastRetire += Adv;
+    for (Cycle &C : RegReady)
+      C += Adv;
+    for (Cycle &C : RobRetire)
+      C += Adv;
+    RobHead += SkippedRecords;
+  }
+
+  Cycle finish(Cycle StartCycle) const {
+    assert(LastRetire >= StartCycle && "time went backwards");
+    return LastRetire - StartCycle;
+  }
 };
 
 } // namespace
@@ -207,120 +223,12 @@ SegmentResult CpuCore::run(const TraceRecord *Records, size_t Count,
 
   CpuPipeline Pipe(Config, Mem, Predictor, ICache, Result, StartCycle);
   Pipe.runSpan(Records, Count);
-
-  assert(Pipe.LastRetire >= StartCycle && "time went backwards");
-  Result.Cycles = Pipe.LastRetire - StartCycle;
+  Result.Cycles = Pipe.finish(StartCycle);
   return Result;
 }
 
 SegmentResult CpuCore::run(const SharedTrace &Trace, Cycle StartCycle) {
-  const BlockTrace *Block = Trace.blocks();
-  if (!Block || !fastPathEnabled())
-    return run(Trace.buffer(), StartCycle);
-  return runWindowed(*Block, StartCycle);
-}
-
-SegmentResult CpuCore::runWindowed(const BlockTrace &Block,
-                                   Cycle StartCycle) {
   SegmentResult Result;
-  Result.Insts = Block.totalRecords();
-  if (Result.Insts == 0)
-    return Result;
-
-  if (Mem.memFastModeCached() == MemFastMode::Sampled &&
-      Block.generator().streamStructure().SteadyStride &&
-      Result.Insts >= 8 * ComputeWindowRecords)
-    return runSampled(Block, StartCycle);
-
   CpuPipeline Pipe(Config, Mem, Predictor, ICache, Result, StartCycle);
-  BlockExpander Expander(Block);
-  TraceBuffer Window;
-  while (!Expander.done()) {
-    BlockExpander::Span Span = Expander.nextSpan(Window);
-    Pipe.runSpan(Span.Data, size_t(Span.Count));
-  }
-
-  assert(Pipe.LastRetire >= StartCycle && "time went backwards");
-  Result.Cycles = Pipe.LastRetire - StartCycle;
-  return Result;
-}
-
-/// The sampled memory tier (HETSIM_MEMFAST=sampled, DESIGN.md §11):
-/// simulate a few warm-up windows in full, then alternate one re-warm
-/// window, one measured window, and a burst of skipped windows whose time
-/// and counters are extrapolated from the measured window's per-record
-/// rates. Skipped records never touch the memory system; the reported
-/// error bound is the skipped records' spread between the best and worst
-/// measured rates. Never used by goldens.
-SegmentResult CpuCore::runSampled(const BlockTrace &Block,
-                                  Cycle StartCycle) {
-  SegmentResult Result;
-  Result.Insts = Block.totalRecords();
-
-  CpuPipeline Pipe(Config, Mem, Predictor, ICache, Result, StartCycle);
-  BlockExpander Expander(Block);
-  TraceBuffer Window;
-  MemorySystem::MemFastCounters &MFC = Mem.memfastCounters();
-  const unsigned SkipN = memFastSampleSkip();
-
-  double RateMin = 0, RateMax = 0;
-  bool HaveRate = false;
-  unsigned WarmLeft = 4;
-  while (!Expander.done()) {
-    if (WarmLeft != 0) {
-      BlockExpander::Span Span = Expander.nextWindow(Window);
-      Pipe.runSpan(Span.Data, size_t(Span.Count));
-      --WarmLeft;
-      continue;
-    }
-
-    // Measure one window.
-    const Cycle C0 = Pipe.LastRetire;
-    const SegmentResult R0 = Result;
-    BlockExpander::Span Span = Expander.nextWindow(Window);
-    Pipe.runSpan(Span.Data, size_t(Span.Count));
-    const uint64_t Nm = Span.Count;
-    if (Nm == 0)
-      break;
-    const Cycle Dm = Pipe.LastRetire - C0;
-    const uint64_t DMa = Result.MemAccesses - R0.MemAccesses;
-    const uint64_t DMl = Result.MemLatencySum - R0.MemLatencySum;
-    const uint64_t DBm = Result.BranchMispredicts - R0.BranchMispredicts;
-    const uint64_t DIc = Result.ICacheMisses - R0.ICacheMisses;
-    const uint64_t DFw = Result.StoreForwards - R0.StoreForwards;
-    const double Rate = double(Dm) / double(Nm);
-    RateMin = HaveRate ? std::min(RateMin, Rate) : Rate;
-    RateMax = HaveRate ? std::max(RateMax, Rate) : Rate;
-    HaveRate = true;
-
-    // Skip a burst, extrapolating the measured rates.
-    uint64_t SkipRecords = 0;
-    for (unsigned I = 0; I != SkipN && !Expander.done(); ++I)
-      SkipRecords += Expander.skip(Window);
-    if (SkipRecords != 0) {
-      const Cycle Adv = Dm * SkipRecords / Nm;
-      Pipe.FetchCycle += Adv;
-      Pipe.IssueBusyCycle += Adv;
-      Pipe.LastRetire += Adv;
-      for (Cycle &C : Pipe.RegReady)
-        C += Adv;
-      for (Cycle &C : Pipe.RobRetire)
-        C += Adv;
-      Pipe.RobHead += SkipRecords;
-      Result.MemAccesses += DMa * SkipRecords / Nm;
-      Result.MemLatencySum += DMl * SkipRecords / Nm;
-      Result.BranchMispredicts += DBm * SkipRecords / Nm;
-      Result.ICacheMisses += DIc * SkipRecords / Nm;
-      Result.StoreForwards += DFw * SkipRecords / Nm;
-      Result.SampledRecords += SkipRecords;
-      Result.SampledErrorCycles += double(SkipRecords) * (RateMax - RateMin);
-      ++*MFC.SampledWindows;
-      *MFC.SampledRecords += SkipRecords;
-      WarmLeft = 1; // Re-warm before the next measurement.
-    }
-  }
-
-  assert(Pipe.LastRetire >= StartCycle && "time went backwards");
-  Result.Cycles = Pipe.LastRetire - StartCycle;
-  return Result;
+  return runTrace(Pipe, Result, Trace, StartCycle, Mem);
 }

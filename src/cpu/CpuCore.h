@@ -57,7 +57,7 @@ struct SegmentResult {
   uint64_t PageFaults = 0;
   Cycle PageFaultCycles = 0;
 
-  /// Sampled memory tier only (HETSIM_MEMFAST=sampled, never goldens):
+  /// Sampled memory tier only (never goldens):
   /// records advanced in closed form between measured windows, and the
   /// reported bound on the Cycles error that introduced (the skipped
   /// records' spread between the best and worst measured rates).
@@ -104,10 +104,11 @@ public:
   SegmentResult run(const TraceRecord *Records, size_t Count,
                     Cycle StartCycle);
 
-  /// Runs a shared trace handle. Block-backed handles take the fast path,
-  /// windowed expansion (see DESIGN.md §8); results are identical to
-  /// running the materialized trace through the reference loop. The
-  /// sampled tier (DESIGN.md §11) instead window-samples long blocks.
+  /// Runs a shared trace handle through the block driver
+  /// (cpu/BlockDriver.h): block-backed handles expand window by window
+  /// (DESIGN.md §8), with results identical to running the materialized
+  /// trace through the reference loop, or are window-sampled on the
+  /// sampled tier (DESIGN.md §11).
   SegmentResult run(const SharedTrace &Trace, Cycle StartCycle);
 
   const CpuConfig &config() const { return Config; }
@@ -115,9 +116,6 @@ public:
   Cache &instructionCache() { return ICache; }
 
 private:
-  SegmentResult runWindowed(const BlockTrace &Block, Cycle StartCycle);
-  SegmentResult runSampled(const BlockTrace &Block, Cycle StartCycle);
-
   CpuConfig Config;
   MemorySystem &Mem;
   GsharePredictor Predictor;

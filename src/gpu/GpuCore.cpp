@@ -3,10 +3,8 @@
 #include "gpu/GpuCore.h"
 
 #include "common/Error.h"
+#include "cpu/BlockDriver.h"
 #include "gpu/Coalescer.h"
-#include "memory/MemFast.h"
-#include "memory/MemorySystem.h"
-#include "trace/ComputeBlock.h"
 
 #include <algorithm>
 #include <cassert>
@@ -45,8 +43,8 @@ struct WarpState {
 /// file); each context executes strictly in order with scoreboarded
 /// operands and stall-on-branch; contexts are independent, which models a
 /// zero-overhead warp scheduler hiding one warp's memory latency under the
-/// others. The reference, windowed and sampled paths all drive this one
-/// update function.
+/// others. Every path drives this one update function through the block
+/// driver (cpu/BlockDriver.h).
 struct GpuPipeline {
   const GpuConfig &Config;
   MemorySystem &Mem;
@@ -136,6 +134,30 @@ struct GpuPipeline {
     for (size_t I = 0; I != Count; ++I)
       step(Records[I]);
   }
+
+  Cycle clock() const { return LastComplete; }
+
+  /// Translates the whole warp array; skipped records keep the
+  /// record-to-warp striping aligned via Index.
+  void translate(Cycle Adv, uint64_t SkippedRecords) {
+    LastComplete += Adv;
+    for (WarpState &Warp : Warps) {
+      Warp.NextIssue += Adv;
+      Warp.LastComplete += Adv;
+      for (Cycle &C : Warp.RegReady)
+        C += Adv;
+      for (Cycle &C : Warp.Pending)
+        C += Adv;
+    }
+    Index += SkippedRecords;
+  }
+
+  /// The critical path, floored by issue bandwidth.
+  Cycle finish(Cycle StartCycle) const {
+    assert(LastComplete >= StartCycle && "time went backwards");
+    return std::max(LastComplete - StartCycle,
+                    ceilDiv(Result.Insts, Config.IssueWidth));
+  }
 };
 
 } // namespace
@@ -153,119 +175,12 @@ SegmentResult GpuCore::run(const TraceRecord *Records, size_t Count,
 
   GpuPipeline Pipe(Config, Mem, Result, StartCycle);
   Pipe.runSpan(Records, Count);
-
-  assert(Pipe.LastComplete >= StartCycle && "time went backwards");
-  Cycle CriticalPath = Pipe.LastComplete - StartCycle;
-  Cycle BandwidthFloor = ceilDiv(Count, Config.IssueWidth);
-  Result.Cycles = std::max(CriticalPath, BandwidthFloor);
+  Result.Cycles = Pipe.finish(StartCycle);
   return Result;
 }
 
 SegmentResult GpuCore::run(const SharedTrace &Trace, Cycle StartCycle) {
-  const BlockTrace *Block = Trace.blocks();
-  if (!Block || !fastPathEnabled())
-    return run(Trace.buffer(), StartCycle);
-  return runWindowed(*Block, StartCycle);
-}
-
-SegmentResult GpuCore::runWindowed(const BlockTrace &Block,
-                                   Cycle StartCycle) {
   SegmentResult Result;
-  Result.Insts = Block.totalRecords();
-  if (Result.Insts == 0)
-    return Result;
-
-  if (Mem.memFastModeCached() == MemFastMode::Sampled &&
-      Block.generator().streamStructure().SteadyStride &&
-      Result.Insts >= 8 * ComputeWindowRecords)
-    return runSampled(Block, StartCycle);
-
   GpuPipeline Pipe(Config, Mem, Result, StartCycle);
-  BlockExpander Expander(Block);
-  TraceBuffer Window;
-  while (!Expander.done()) {
-    BlockExpander::Span Span = Expander.nextSpan(Window);
-    Pipe.runSpan(Span.Data, size_t(Span.Count));
-  }
-
-  assert(Pipe.LastComplete >= StartCycle && "time went backwards");
-  Cycle CriticalPath = Pipe.LastComplete - StartCycle;
-  Cycle BandwidthFloor = ceilDiv(Result.Insts, Config.IssueWidth);
-  Result.Cycles = std::max(CriticalPath, BandwidthFloor);
-  return Result;
-}
-
-/// GPU half of the sampled memory tier (DESIGN.md §11): same schedule as
-/// the CPU one — warm, measure, skip — with the whole warp array
-/// translated by the extrapolated advance. Skipped records keep the
-/// record-to-warp striping aligned via Index. Never used by goldens.
-SegmentResult GpuCore::runSampled(const BlockTrace &Block,
-                                  Cycle StartCycle) {
-  SegmentResult Result;
-  Result.Insts = Block.totalRecords();
-
-  GpuPipeline Pipe(Config, Mem, Result, StartCycle);
-  BlockExpander Expander(Block);
-  TraceBuffer Window;
-  MemorySystem::MemFastCounters &MFC = Mem.memfastCounters();
-  const unsigned SkipN = memFastSampleSkip();
-
-  double RateMin = 0, RateMax = 0;
-  bool HaveRate = false;
-  unsigned WarmLeft = 4;
-  while (!Expander.done()) {
-    if (WarmLeft != 0) {
-      BlockExpander::Span Span = Expander.nextWindow(Window);
-      Pipe.runSpan(Span.Data, size_t(Span.Count));
-      --WarmLeft;
-      continue;
-    }
-
-    const Cycle C0 = Pipe.LastComplete;
-    const SegmentResult R0 = Result;
-    BlockExpander::Span Span = Expander.nextWindow(Window);
-    Pipe.runSpan(Span.Data, size_t(Span.Count));
-    const uint64_t Nm = Span.Count;
-    if (Nm == 0)
-      break;
-    const Cycle Dm = Pipe.LastComplete - C0;
-    const uint64_t DMa = Result.MemAccesses - R0.MemAccesses;
-    const uint64_t DMl = Result.MemLatencySum - R0.MemLatencySum;
-    const uint64_t DBm = Result.BranchMispredicts - R0.BranchMispredicts;
-    const double Rate = double(Dm) / double(Nm);
-    RateMin = HaveRate ? std::min(RateMin, Rate) : Rate;
-    RateMax = HaveRate ? std::max(RateMax, Rate) : Rate;
-    HaveRate = true;
-
-    uint64_t SkipRecords = 0;
-    for (unsigned I = 0; I != SkipN && !Expander.done(); ++I)
-      SkipRecords += Expander.skip(Window);
-    if (SkipRecords != 0) {
-      const Cycle Adv = Dm * SkipRecords / Nm;
-      Pipe.LastComplete += Adv;
-      for (WarpState &Warp : Pipe.Warps) {
-        Warp.NextIssue += Adv;
-        Warp.LastComplete += Adv;
-        for (Cycle &C : Warp.RegReady)
-          C += Adv;
-        for (Cycle &C : Warp.Pending)
-          C += Adv;
-      }
-      Pipe.Index += SkipRecords;
-      Result.MemAccesses += DMa * SkipRecords / Nm;
-      Result.MemLatencySum += DMl * SkipRecords / Nm;
-      Result.BranchMispredicts += DBm * SkipRecords / Nm;
-      Result.SampledRecords += SkipRecords;
-      Result.SampledErrorCycles += double(SkipRecords) * (RateMax - RateMin);
-      ++*MFC.SampledWindows;
-      *MFC.SampledRecords += SkipRecords;
-      WarmLeft = 1;
-    }
-  }
-
-  assert(Pipe.LastComplete >= StartCycle && "time went backwards");
-  Cycle CriticalPath = Pipe.LastComplete - StartCycle;
-  Cycle BandwidthFloor = ceilDiv(Result.Insts, Config.IssueWidth);
-  Result.Cycles = std::max(CriticalPath, BandwidthFloor);
-  return Result;
+  return runTrace(Pipe, Result, Trace, StartCycle, Mem);
 }

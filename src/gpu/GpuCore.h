@@ -53,17 +53,13 @@ public:
   SegmentResult run(const TraceRecord *Records, size_t Count,
                     Cycle StartCycle);
 
-  /// Runs a shared trace handle. Block-backed handles expand window by
-  /// window (DESIGN.md §8), or are window-sampled on the sampled tier
-  /// (DESIGN.md §11).
+  /// Runs a shared trace handle through the block driver
+  /// (cpu/BlockDriver.h), like CpuCore::run.
   SegmentResult run(const SharedTrace &Trace, Cycle StartCycle);
 
   const GpuConfig &config() const { return Config; }
 
 private:
-  SegmentResult runWindowed(const BlockTrace &Block, Cycle StartCycle);
-  SegmentResult runSampled(const BlockTrace &Block, Cycle StartCycle);
-
   GpuConfig Config;
   MemorySystem &Mem;
 };

@@ -11,7 +11,7 @@
 
 using namespace hetsim;
 
-MemorySystem::MemorySystem(const MemHierConfig &Cfg)
+MemorySystem::MemorySystem(const MemHierConfig &Cfg, MemFastMode Tier)
     : Config(Cfg), CpuMshr(Cfg.CpuMshrs), GpuMshr(Cfg.GpuMshrs),
       CpuTlb(Cfg.CpuTlbEntries, Cfg.TlbWays, Cfg.CpuPageBytes),
       GpuTlb(Cfg.GpuTlbEntries, Cfg.TlbWays, Cfg.GpuPageBytes),
@@ -57,10 +57,9 @@ MemorySystem::MemorySystem(const MemHierConfig &Cfg)
   MemPrefetchFills = &Stats.counterRef("mem.prefetch_fills");
   MemMshrMerges = &Stats.counterRef("mem.mshr_merges");
 
-  // Resolve the fidelity tier once and register the sampled-coverage
-  // counters up front so the hetsim-metrics-v1 key set is identical
-  // across tiers.
-  MFMode = memFastMode();
+  // Register the sampled-coverage counters up front so the
+  // hetsim-metrics-v1 key set is identical across tiers.
+  MFMode = Tier;
   MFCounters.SampledWindows = &Stats.counterRef("memfast.sampled_windows");
   MFCounters.SampledRecords = &Stats.counterRef("memfast.sampled_records");
   Stats.setCounter("memfast.mode", uint64_t(MFMode));

@@ -22,13 +22,13 @@
 #include "cache/Mshr.h"
 #include "cache/Scratchpad.h"
 #include "cache/StreamPrefetcher.h"
+#include "common/RunOptions.h"
 #include "common/Stats.h"
 #include "dram/Dram.h"
 #include "interconnect/MeshNoc.h"
 #include "interconnect/RingBus.h"
 #include "memory/FirstTouchTracker.h"
 #include "memory/HybridCoherence.h"
-#include "memory/MemFast.h"
 #include "memory/Ownership.h"
 #include "memory/PageTable.h"
 #include "memory/Tlb.h"
@@ -117,7 +117,9 @@ struct SharedSpacePolicy {
 /// The assembled hierarchy.
 class MemorySystem {
 public:
-  explicit MemorySystem(const MemHierConfig &Config = MemHierConfig());
+  /// A hierarchy of \p Config simulated on fidelity tier \p Tier.
+  explicit MemorySystem(const MemHierConfig &Config = MemHierConfig(),
+                        MemFastMode Tier = MemFastMode::Exact);
 
   const MemHierConfig &config() const { return Config; }
 
@@ -208,8 +210,8 @@ public:
   const StatRegistry &stats() const { return Stats; }
   StatRegistry &stats() { return Stats; }
 
-  /// Fidelity tier (HETSIM_MEMFAST), resolved once at construction.
-  MemFastMode memFastModeCached() const { return MFMode; }
+  /// The fidelity tier this hierarchy was built for.
+  MemFastMode tier() const { return MFMode; }
 
   /// Sampled-tier coverage counters, bound to registry entries at
   /// construction (stable hetsim-metrics-v1 schema: "memfast.*").

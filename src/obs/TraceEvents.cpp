@@ -5,7 +5,6 @@
 #include "common/Error.h"
 #include "obs/Json.h"
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 
@@ -124,15 +123,8 @@ bool TraceEventLog::writeFile(const std::string &Path,
   return bool(Out);
 }
 
-bool hetsim::traceEventsEnabled() { return !traceEventsDir().empty(); }
-
-std::string hetsim::traceEventsDir() {
-  const char *Dir = std::getenv("HETSIM_TRACE_EVENTS");
-  return Dir ? std::string(Dir) : std::string();
-}
-
-std::string hetsim::traceEventPath(const std::string &RunName) {
-  std::string Dir = traceEventsDir();
+std::string hetsim::traceEventPath(const std::string &Dir,
+                                  const std::string &RunName) {
   if (Dir.empty())
     return std::string();
   std::string Safe;

@@ -9,9 +9,9 @@
 /// on its own track, and driver/runtime overheads (ownership, faults) on
 /// the driver track.
 ///
-/// Recording is cheap (no allocation past the reserved cap) and gated by
-/// the `HETSIM_TRACE_EVENTS` environment variable, which names an output
-/// *directory*: parallel sweep workers each write their own
+/// Recording is cheap (no allocation past the reserved cap); files are
+/// written when RunOptions::TraceEventsDir (`HETSIM_TRACE_EVENTS`) names
+/// an output *directory*: parallel sweep workers each write their own
 /// `<dir>/<run>.trace.json` file, so no cross-thread file clobbering.
 ///
 //===----------------------------------------------------------------------===//
@@ -78,15 +78,9 @@ private:
   uint64_t Dropped = 0;
 };
 
-/// True when `HETSIM_TRACE_EVENTS` is set to a non-empty value.
-bool traceEventsEnabled();
-
-/// The directory named by `HETSIM_TRACE_EVENTS` ("" when disabled).
-std::string traceEventsDir();
-
-/// `<traceEventsDir()>/<RunName>.trace.json`, with characters outside
-/// [A-Za-z0-9._-] in \p RunName replaced by '_'. Empty when disabled.
-std::string traceEventPath(const std::string &RunName);
+/// `<Dir>/<RunName>.trace.json`, with characters outside [A-Za-z0-9._-]
+/// in \p RunName replaced by '_'. Empty when \p Dir is empty.
+std::string traceEventPath(const std::string &Dir, const std::string &RunName);
 
 } // namespace hetsim
 

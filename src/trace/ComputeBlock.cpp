@@ -5,11 +5,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <cstdlib>
 
 using namespace hetsim;
 
-static std::atomic<int> FastPathOverride{-1};
 static std::atomic<uint64_t> GenNanos{0};
 static thread_local uint64_t TlGenNanos = 0;
 static std::atomic<uint64_t> ReuseBytesUsed{0};
@@ -25,24 +23,14 @@ void hetsim::addTraceGenNanos(uint64_t Nanos) {
 
 uint64_t hetsim::threadTraceGenNanos() { return TlGenNanos; }
 
-uint64_t hetsim::expandReuseBudgetBytes() {
-  static const uint64_t Budget = [] {
-    if (const char *Env = std::getenv("HETSIM_EXPAND_REUSE_MB"))
-      return uint64_t(std::strtoull(Env, nullptr, 10)) * 1024 * 1024;
-    return uint64_t(512) * 1024 * 1024;
-  }();
-  return Budget;
-}
-
 uint64_t hetsim::expandReuseBytesInUse() {
   return ReuseBytesUsed.load(std::memory_order_relaxed);
 }
 
 static bool reserveReuseBytes(uint64_t Bytes) {
-  const uint64_t Budget = hetsim::expandReuseBudgetBytes();
   uint64_t Current = ReuseBytesUsed.load(std::memory_order_relaxed);
   do {
-    if (Current + Bytes > Budget)
+    if (Current + Bytes > ExpandReuseBudgetBytes)
       return false;
   } while (!ReuseBytesUsed.compare_exchange_weak(Current, Current + Bytes,
                                                  std::memory_order_relaxed));
@@ -52,15 +40,6 @@ static bool reserveReuseBytes(uint64_t Bytes) {
 static void releaseReuseBytes(uint64_t Bytes) {
   if (Bytes)
     ReuseBytesUsed.fetch_sub(Bytes, std::memory_order_relaxed);
-}
-
-bool hetsim::fastPathEnabled() {
-  return FastPathOverride.load(std::memory_order_relaxed) != 0;
-}
-
-void hetsim::setFastPathForTesting(int Mode) {
-  assert(Mode >= -1 && Mode <= 1 && "invalid fast-path override");
-  FastPathOverride.store(Mode, std::memory_order_relaxed);
 }
 
 BlockTrace::BlockTrace(KernelId Kernel, const GenRequest &Req,

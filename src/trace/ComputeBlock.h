@@ -10,9 +10,8 @@
 /// Expansion is exact: BlockExpander replays the same generator code over
 /// the same GenState, so the concatenation of all windows is byte-identical
 /// to the single-shot buffer generateCompute/generateSerial would produce.
-/// setFastPathForTesting(0) disables block-backed traces entirely and
-/// restores the fully materialized reference path that tests compare
-/// against.
+/// RunOptions::MaterializedReference lowers to fully materialized traces
+/// instead: the reference path the differential tests compare against.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,15 +26,6 @@
 #include <mutex>
 
 namespace hetsim {
-
-/// Returns true when block-backed traces and the cores' windowed fast
-/// path are enabled: always, unless a differential test switched them off.
-bool fastPathEnabled();
-
-/// Test hook: forces the fast path on (1), off (0), or back to the
-/// default, on (-1). Not thread-safe against concurrent runs; intended
-/// for use between simulations in a single-threaded test.
-void setFastPathForTesting(int Mode);
 
 /// Number of records an expansion window aims for. Small enough that the
 /// reusable window buffer (~96KB) stays cache-resident while a core
@@ -56,10 +46,10 @@ void addTraceGenNanos(uint64_t Nanos);
 uint64_t threadTraceGenNanos();
 
 /// Byte budget for expansion-reuse buffers (see BlockTrace::
-/// enableExpansionReuse). HETSIM_EXPAND_REUSE_MB overrides; default 512.
-uint64_t expandReuseBudgetBytes();
+/// enableExpansionReuse): 512 MB.
+constexpr uint64_t ExpandReuseBudgetBytes = uint64_t(512) * 1024 * 1024;
 
-/// Bytes currently reserved against expandReuseBudgetBytes().
+/// Bytes currently reserved against ExpandReuseBudgetBytes.
 uint64_t expandReuseBytesInUse();
 
 /// RAII accumulator for traceGenNanos().

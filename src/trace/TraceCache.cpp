@@ -3,8 +3,6 @@
 #include "trace/TraceCache.h"
 
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 #include <mutex>
 
 using namespace hetsim;
@@ -67,11 +65,6 @@ size_t TraceCache::KeyHash::operator()(const Key &K) const {
   return static_cast<size_t>(Hash);
 }
 
-TraceCache::TraceCache() {
-  if (const char *Env = std::getenv("HETSIM_TRACE_CACHE"))
-    Enabled = std::strcmp(Env, "0") != 0;
-}
-
 TraceCache &TraceCache::global() {
   static TraceCache Instance;
   return Instance;
@@ -87,13 +80,6 @@ TraceCache::Shard &TraceCache::shardFor(const Key &K, size_t &HashOut) {
 TraceCache::TracePtr
 TraceCache::getOrGenerate(const Key &K,
                           const std::function<TraceBuffer()> &Generate) {
-  if (!Enabled) {
-    // Bypass regenerates per request. Since PR 5 the generators are
-    // stateless (all cursor state lives in a caller-owned GenState), so
-    // concurrent bypass generation needs no serialization.
-    return std::make_shared<const TraceBuffer>(Generate());
-  }
-
   size_t Hash;
   Shard &S = shardFor(K, Hash);
 
@@ -219,10 +205,11 @@ TraceCache::serial(KernelId Kernel, uint64_t InstCount,
 }
 
 SharedTrace TraceCache::computeShared(KernelId Kernel, const GenRequest &Req,
-                                      const KernelDataLayout &Layout) {
-  if (!fastPathEnabled())
+                                      const KernelDataLayout &Layout,
+                                      const RunOptions &Opts) {
+  if (Opts.MaterializedReference)
     return SharedTrace(compute(Kernel, Req, Layout));
-  if (!Enabled)
+  if (!Opts.TraceCache)
     return SharedTrace(std::make_shared<const BlockTrace>(Kernel, Req,
                                                           Layout));
   Key K;
@@ -239,10 +226,10 @@ SharedTrace TraceCache::computeShared(KernelId Kernel, const GenRequest &Req,
 
 SharedTrace TraceCache::serialShared(KernelId Kernel, uint64_t InstCount,
                                      const KernelDataLayout &Layout,
-                                     uint64_t Seed) {
-  if (!fastPathEnabled())
+                                     uint64_t Seed, const RunOptions &Opts) {
+  if (Opts.MaterializedReference)
     return SharedTrace(serial(Kernel, InstCount, Layout, Seed));
-  if (!Enabled)
+  if (!Opts.TraceCache)
     return SharedTrace(
         std::make_shared<const BlockTrace>(Kernel, InstCount, Seed, Layout));
   Key K;

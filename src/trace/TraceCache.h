@@ -21,19 +21,20 @@
 /// on another thread's in-flight generation (plus the miss-path exclusive
 /// lock) is accumulated in traceCacheWaitNanos() for sweep telemetry.
 ///
-/// With the fast path on (see trace/ComputeBlock.h), computeShared /
-/// serialShared hand out run-length BlockTrace handles instead: a cache
-/// entry is then a ~200-byte recipe rather than a multi-MB record vector,
-/// and cores expand it window by window.
-///
-/// Set HETSIM_TRACE_CACHE=0 to bypass the cache entirely (every request
-/// regenerates) — the seed harness behaviour, kept for perf bisection.
+/// computeShared / serialShared hand out run-length BlockTrace handles
+/// instead (see trace/ComputeBlock.h): a cache entry is then a ~200-byte
+/// recipe rather than a multi-MB record vector, and cores expand it
+/// window by window. RunOptions::TraceCache = false (HETSIM_TRACE_CACHE=0)
+/// bypasses the cache for them: every request gets a fresh recipe,
+/// expanded from scratch — kept for perf bisection. The materialized
+/// reference path (RunOptions::MaterializedReference) always caches.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef HETSIM_TRACE_TRACECACHE_H
 #define HETSIM_TRACE_TRACECACHE_H
 
+#include "common/RunOptions.h"
 #include "common/Stats.h"
 #include "trace/ComputeBlock.h"
 #include "trace/KernelTraceGenerator.h"
@@ -91,20 +92,23 @@ public:
                                             uint64_t Seed);
 
   /// Like compute()/serial(), but returns a SharedTrace that wraps a
-  /// run-length BlockTrace when the fast path is enabled (and a
-  /// materialized buffer otherwise, preserving reference behaviour).
+  /// run-length BlockTrace, or the materialized buffer when \p Opts asks
+  /// for the reference path. \p Opts.TraceCache = false bypasses the
+  /// cache for blocks.
   SharedTrace computeShared(KernelId Kernel, const GenRequest &Req,
-                            const KernelDataLayout &Layout);
+                            const KernelDataLayout &Layout,
+                            const RunOptions &Opts);
   SharedTrace serialShared(KernelId Kernel, uint64_t InstCount,
-                           const KernelDataLayout &Layout, uint64_t Seed);
+                           const KernelDataLayout &Layout, uint64_t Seed,
+                           const RunOptions &Opts);
 
   /// Snapshot of the hit/miss counters.
   TraceCacheStats stats() const;
 
-  /// Number of times a generator actually ran on behalf of the cache
-  /// (bypass mode excluded). With single-flight generation this equals
-  /// the number of distinct materialized-trace keys ever requested — the
-  /// stress test's "no duplicate generation" invariant.
+  /// Number of times a generator actually ran on behalf of the cache.
+  /// With single-flight generation this equals the number of distinct
+  /// materialized-trace keys ever requested — the stress test's "no
+  /// duplicate generation" invariant.
   uint64_t generations() const;
 
   /// Publishes the counters into \p Registry as "trace_cache.hits" /
@@ -118,11 +122,8 @@ public:
   /// Number of distinct traces currently cached.
   size_t entryCount() const;
 
-  /// True when HETSIM_TRACE_CACHE=0 disabled caching for this process.
-  bool enabled() const { return Enabled; }
-
 private:
-  TraceCache();
+  TraceCache() = default;
 
   /// Cache key: every input the generators read. The layout is folded to
   /// a fingerprint over its (name, base, bytes, dir) segments.
@@ -164,7 +165,6 @@ private:
   SharedTrace getOrMakeBlock(const Key &K,
                              const std::function<BlockPtr()> &Make);
 
-  bool Enabled = true;
   std::array<Shard, NumShards> Shards;
   std::atomic<uint64_t> Hits{0};
   std::atomic<uint64_t> Misses{0};

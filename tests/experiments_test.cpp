@@ -58,17 +58,17 @@ TEST(ExperimentRender, RowCountsMatchInputs) {
 //===----------------------------------------------------------------------===//
 
 TEST(CsvExport, DisabledWithoutEnvVar) {
-  unsetenv("HETSIM_CSV_DIR");
   TextTable Table({"a"});
-  EXPECT_FALSE(maybeExportCsv("unused", Table));
+  EXPECT_FALSE(maybeExportCsv("unused", Table, RunOptions()));
 }
 
 TEST(CsvExport, WritesFileWhenEnabled) {
   setenv("HETSIM_CSV_DIR", "/tmp", 1);
+  RunOptions Opts = RunOptions::fromEnvironment();
+  unsetenv("HETSIM_CSV_DIR");
   TextTable Table({"col1", "col2"});
   Table.addRow({"x", "y"});
-  EXPECT_TRUE(maybeExportCsv("hetsim_csv_export_test", Table));
-  unsetenv("HETSIM_CSV_DIR");
+  EXPECT_TRUE(maybeExportCsv("hetsim_csv_export_test", Table, Opts));
 
   std::FILE *File = std::fopen("/tmp/hetsim_csv_export_test.csv", "r");
   ASSERT_NE(File, nullptr);
@@ -80,10 +80,10 @@ TEST(CsvExport, WritesFileWhenEnabled) {
 }
 
 TEST(CsvExport, UnwritableDirectoryFailsGracefully) {
-  setenv("HETSIM_CSV_DIR", "/nonexistent_hetsim_dir", 1);
+  RunOptions Opts;
+  Opts.CsvDir = "/nonexistent_hetsim_dir";
   TextTable Table({"a"});
-  EXPECT_FALSE(maybeExportCsv("x", Table));
-  unsetenv("HETSIM_CSV_DIR");
+  EXPECT_FALSE(maybeExportCsv("x", Table, Opts));
 }
 
 //===----------------------------------------------------------------------===//

@@ -4,15 +4,15 @@
 /// The fast path's contract is *exact* equivalence: block-backed traces
 /// and windowed expansion must produce results byte-identical to the fully
 /// materialized per-record reference path. These tests run both paths
-/// (toggled through the setFastPathForTesting hook) and assert identical
-/// RunResults and metrics documents. The sampled memory tier, which is
-/// approximate by design, is checked against the exact tier for exact
-/// instruction counts and a loose cycle bound.
+/// (RunOptions::MaterializedReference selects the reference) and assert
+/// identical RunResults and metrics documents. The sampled memory tier,
+/// which is approximate by design, is checked against the exact tier for
+/// exact instruction counts and a loose cycle bound, and pinned
+/// bit-for-bit to recorded results.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "core/HeteroSimulator.h"
-#include "memory/MemFast.h"
 #include "obs/Metrics.h"
 #include "trace/ComputeBlock.h"
 #include "trace/TraceCache.h"
@@ -23,14 +23,9 @@ using namespace hetsim;
 
 namespace {
 
-/// Restores the environment-driven fast-path and memory-fidelity
-/// settings (and a cold trace cache) no matter how a test exits.
+/// Leaves a cold trace cache behind no matter how a test exits.
 struct FastPathGuard {
-  ~FastPathGuard() {
-    setFastPathForTesting(-1);
-    setMemFastForTesting(-1);
-    TraceCache::global().clear();
-  }
+  ~FastPathGuard() { TraceCache::global().clear(); }
 };
 
 void expectSegmentEq(const SegmentResult &A, const SegmentResult &B,
@@ -66,13 +61,12 @@ void expectRunResultEq(const RunResult &A, const RunResult &B,
   EXPECT_EQ(A.CommSourceLines, B.CommSourceLines) << What;
 }
 
-/// Runs (Study, Kernel) with the fast path forced to \p Mode from a cold
-/// trace cache and returns the result plus the metrics snapshot.
+/// Runs (Study, Kernel) under \p Opts from a cold trace cache and returns
+/// the result plus the metrics snapshot.
 std::pair<RunResult, MetricsSnapshot> runOne(CaseStudy Study, KernelId Kernel,
-                                             int Mode) {
-  setFastPathForTesting(Mode);
+                                             const RunOptions &Opts) {
   TraceCache::global().clear();
-  HeteroSimulator Sim(SystemConfig::forCaseStudy(Study));
+  HeteroSimulator Sim(SystemConfig::forCaseStudy(Study), Opts);
   RunResult Result = Sim.run(Kernel);
   MetricsSnapshot Metrics = Sim.collectMetrics(Result);
   return {Result, Metrics};
@@ -86,12 +80,14 @@ std::pair<RunResult, MetricsSnapshot> runOne(CaseStudy Study, KernelId Kernel,
 
 TEST(FastPathDifferential, AllKernelsAllModelsIdentical) {
   FastPathGuard Guard;
+  RunOptions Reference;
+  Reference.MaterializedReference = true;
   for (CaseStudy Study : allCaseStudies()) {
     for (KernelId Kernel : allKernels()) {
       std::string What = std::string(caseStudyName(Study)) + "/" +
                          kernelName(Kernel);
-      auto [RefResult, RefMetrics] = runOne(Study, Kernel, /*Mode=*/0);
-      auto [FastResult, FastMetrics] = runOne(Study, Kernel, /*Mode=*/1);
+      auto [RefResult, RefMetrics] = runOne(Study, Kernel, Reference);
+      auto [FastResult, FastMetrics] = runOne(Study, Kernel, RunOptions());
       expectRunResultEq(RefResult, FastResult, What);
       // The metrics documents must match verbatim: same keys, same values.
       EXPECT_EQ(renderMetricsJson(RefMetrics), renderMetricsJson(FastMetrics))
@@ -144,17 +140,13 @@ TEST(FastPathExpansion, WindowsConcatenateToMaterializedStream) {
 
 namespace {
 
-/// Runs (Study, Kernel) on the block fast path with the memory fidelity
-/// tier forced to \p MemFast, from a cold trace cache.
+/// Runs (Study, Kernel) on the block fast path on tier \p Tier, from a
+/// cold trace cache.
 std::pair<RunResult, MetricsSnapshot>
-runOneMemFast(CaseStudy Study, KernelId Kernel, int MemFast) {
-  setMemFastForTesting(MemFast);
-  setFastPathForTesting(1);
-  TraceCache::global().clear();
-  HeteroSimulator Sim(SystemConfig::forCaseStudy(Study));
-  RunResult Result = Sim.run(Kernel);
-  MetricsSnapshot Metrics = Sim.collectMetrics(Result);
-  return {Result, Metrics};
+runOneMemFast(CaseStudy Study, KernelId Kernel, MemFastMode Tier) {
+  RunOptions Opts;
+  Opts.Tier = Tier;
+  return runOne(Study, Kernel, Opts);
 }
 
 } // namespace
@@ -162,9 +154,11 @@ runOneMemFast(CaseStudy Study, KernelId Kernel, int MemFast) {
 TEST(MemFastModes, SampledModeExtrapolatesWithBoundedError) {
   FastPathGuard Guard;
   auto [Ref, RefMetrics] = runOneMemFast(CaseStudy::CpuGpu,
-                                         KernelId::Reduction, 1);
+                                         KernelId::Reduction,
+                                         MemFastMode::Exact);
   auto [Samp, SampMetrics] = runOneMemFast(CaseStudy::CpuGpu,
-                                           KernelId::Reduction, 3);
+                                           KernelId::Reduction,
+                                           MemFastMode::Sampled);
   // Sampling skips simulation, not records: instruction totals are exact.
   EXPECT_EQ(Ref.CpuTotal.Insts, Samp.CpuTotal.Insts);
   EXPECT_EQ(Ref.GpuTotal.Insts, Samp.GpuTotal.Insts);
@@ -174,4 +168,70 @@ TEST(MemFastModes, SampledModeExtrapolatesWithBoundedError) {
   double SampC = double(Samp.CpuTotal.Cycles + Samp.GpuTotal.Cycles);
   EXPECT_GT(SampC, 0.5 * RefC);
   EXPECT_LT(SampC, 2.0 * RefC);
+}
+
+namespace {
+
+SegmentResult segment(Cycle Cycles, uint64_t Insts, uint64_t MemAccesses,
+                      uint64_t MemLatencySum, Cycle MemLatencyMax,
+                      uint64_t BranchMispredicts, uint64_t ICacheMisses,
+                      uint64_t StoreForwards, uint64_t SampledRecords,
+                      double SampledErrorCycles) {
+  SegmentResult S;
+  S.Cycles = Cycles;
+  S.Insts = Insts;
+  S.MemAccesses = MemAccesses;
+  S.MemLatencySum = MemLatencySum;
+  S.MemLatencyMax = MemLatencyMax;
+  S.BranchMispredicts = BranchMispredicts;
+  S.ICacheMisses = ICacheMisses;
+  S.StoreForwards = StoreForwards;
+  S.SampledRecords = SampledRecords;
+  S.SampledErrorCycles = SampledErrorCycles;
+  return S; // No page faults on CPU+GPU.
+}
+
+} // namespace
+
+// The sampled tier's whole schedule (warm-up, re-warm, measure, skip,
+// translate, extrapolate) pinned bit-for-bit: both cores' aggregated
+// SegmentResults on CPU+GPU, recorded from the per-core sampled loops
+// this driver replaced. Includes the reduction point whose error bound
+// reads 0 because only one window rate was ever measured.
+TEST(MemFastModes, SampledTierPinnedToRecordedResults) {
+  FastPathGuard Guard;
+  struct Pin {
+    KernelId Kernel;
+    SegmentResult Cpu, Gpu;
+    double SampledWindows;
+    double TotalNs;
+  };
+  const Pin Pins[] = {
+      {KernelId::Reduction,
+       segment(377238, 170002, 50627, 580055, 281, 0, 2, 0, 129032, 0x0p+0),
+       segment(70001, 70001, 35000, 1833272, 244, 11666, 0, 0, 49511,
+               0x0p+0),
+       3, 0x1.324f249249249p+17},
+      {KernelId::Convolution,
+       segment(739567, 513796, 234370, 871162, 281, 0, 2, 0, 435972, 0x0p+0),
+       segment(448259, 448259, 252145, 5315293, 236, 56032, 0, 0, 390915,
+               0x1.6261ap+7),
+       9, 0x1.62070c30c30c4p+18},
+      {KernelId::Dct,
+       segment(5635647, 2621442, 684404, 6114363, 331, 0, 2, 0, 2432753,
+               0x1.72dd96941f326p+23),
+       segment(2359298, 2359298, 562969, 30409297, 244, 235929, 0, 0,
+               2199398, 0x1.d777166a6566ap+18),
+       38, 0x1.a4a42c30c30c3p+20},
+  };
+  for (const Pin &P : Pins) {
+    auto [R, M] =
+        runOneMemFast(CaseStudy::CpuGpu, P.Kernel, MemFastMode::Sampled);
+    std::string What = kernelName(P.Kernel);
+    expectSegmentEq(R.CpuTotal, P.Cpu, What + " cpu");
+    expectSegmentEq(R.GpuTotal, P.Gpu, What + " gpu");
+    EXPECT_EQ(M.get("memfast.sampled_windows"), P.SampledWindows) << What;
+    EXPECT_EQ(M.get("memfast.mode"), 3.0) << What;
+    EXPECT_EQ(R.Time.totalNs(), P.TotalNs) << What;
+  }
 }

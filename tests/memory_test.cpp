@@ -2,7 +2,7 @@
 
 #include "memory/AddressSpaceModel.h"
 #include "memory/FirstTouchTracker.h"
-#include "memory/MemFast.h"
+#include "common/RunOptions.h"
 #include "memory/MemorySystem.h"
 #include "memory/Ownership.h"
 #include "memory/PageTable.h"
@@ -762,22 +762,17 @@ TEST(MemFastParse, RejectsRemovedTiersAndTypos) {
 }
 
 TEST(MemFastParseDeath, UnknownEnvironmentValueIsFatal) {
-  setMemFastForTesting(-1);
   ::setenv("HETSIM_MEMFAST", "warm", 1);
-  EXPECT_DEATH(memFastMode(), "HETSIM_MEMFAST must be unset, 'exact' or "
-                              "'sampled'");
-  EXPECT_DEATH({ MemorySystem Mem; }, "HETSIM_MEMFAST must be unset");
+  EXPECT_DEATH(RunOptions::fromEnvironment(),
+               "HETSIM_MEMFAST must be unset, 'exact' or 'sampled'");
+  // The memory system never reads the environment: its tier is the one
+  // it was built with.
+  EXPECT_EQ(MemorySystem().tier(), MemFastMode::Exact);
   ::setenv("HETSIM_MEMFAST", "sampled", 1);
-  EXPECT_EQ(memFastMode(), MemFastMode::Sampled);
+  EXPECT_EQ(RunOptions::fromEnvironment().Tier, MemFastMode::Sampled);
+  EXPECT_EQ(MemorySystem().tier(), MemFastMode::Exact);
   ::unsetenv("HETSIM_MEMFAST");
-  EXPECT_EQ(memFastMode(), MemFastMode::Exact);
-}
-
-TEST(MemFastParseDeath, TestHookRejectsRemovedTiers) {
-  EXPECT_DEATH(setMemFastForTesting(0), "setMemFastForTesting takes");
-  EXPECT_DEATH(setMemFastForTesting(2), "setMemFastForTesting takes");
-  setMemFastForTesting(3);
-  EXPECT_EQ(memFastMode(), MemFastMode::Sampled);
-  setMemFastForTesting(-1);
-  EXPECT_EQ(memFastMode(), MemFastMode::Exact);
+  EXPECT_EQ(RunOptions::fromEnvironment().Tier, MemFastMode::Exact);
+  EXPECT_EQ(MemorySystem(MemHierConfig(), MemFastMode::Sampled).tier(),
+            MemFastMode::Sampled);
 }

@@ -12,7 +12,6 @@
 
 #include "core/ResultStore.h"
 #include "core/SweepRunner.h"
-#include "memory/MemFast.h"
 
 #include "gtest/gtest.h"
 
@@ -23,6 +22,19 @@
 using namespace hetsim;
 
 namespace {
+
+RunOptions storeAt(const std::string &Dir,
+                   MemFastMode Tier = MemFastMode::Exact) {
+  RunOptions Opts;
+  Opts.ResultStoreDir = Dir;
+  Opts.Tier = Tier;
+  return Opts;
+}
+
+ResultStore::Key exactKey(const SystemConfig &Config,
+                          const LoweredProgram &Program) {
+  return ResultStore::keyFor(Config, Program, MemFastMode::Exact);
+}
 
 std::string freshDir(const std::string &Name) {
   std::string Dir = ::testing::TempDir() + Name;
@@ -77,7 +89,7 @@ TEST(ResultStore, RoundTripIsExact) {
 
   ResultStore Store(freshDir("result_store_roundtrip"));
   ASSERT_TRUE(Store.enabled());
-  ResultStore::Key K = ResultStore::keyFor(Config, Program);
+  ResultStore::Key K = exactKey(Config, Program);
 
   ResultStore::Entry Loaded;
   EXPECT_FALSE(Store.load(K, Loaded)) << "cold store must miss";
@@ -102,16 +114,16 @@ TEST(ResultStore, KeysSeparateConfigsAndKernels) {
   LoweredProgram FusionRed = lowerKernel(KernelId::Reduction, Fusion);
   LoweredProgram GmacSort = lowerKernel(KernelId::MergeSort, Gmac);
 
-  ResultStore::Key A = ResultStore::keyFor(Gmac, GmacRed);
-  ResultStore::Key B = ResultStore::keyFor(Fusion, FusionRed);
-  ResultStore::Key C = ResultStore::keyFor(Gmac, GmacSort);
+  ResultStore::Key A = exactKey(Gmac, GmacRed);
+  ResultStore::Key B = exactKey(Fusion, FusionRed);
+  ResultStore::Key C = exactKey(Gmac, GmacSort);
   EXPECT_NE(A.ConfigHash, B.ConfigHash);
   EXPECT_NE(A.TraceHash, C.TraceHash);
   EXPECT_EQ(A.CodeVersion, ResultStoreCodeVersion);
 
   // Keys are pure content functions: rederiving yields the same key.
   ResultStore::Key A2 =
-      ResultStore::keyFor(Gmac, lowerKernel(KernelId::Reduction, Gmac));
+      exactKey(Gmac, lowerKernel(KernelId::Reduction, Gmac));
   EXPECT_EQ(A.ConfigHash, A2.ConfigHash);
   EXPECT_EQ(A.TraceHash, A2.TraceHash);
 }
@@ -129,7 +141,7 @@ TEST(ResultStore, DisabledStoreMissesAndRefusesSaves) {
   EXPECT_FALSE(Store.enabled());
   SystemConfig Config = SystemConfig::forCaseStudy(CaseStudy::CpuGpu);
   LoweredProgram Program = lowerKernel(KernelId::Reduction, Config);
-  ResultStore::Key K = ResultStore::keyFor(Config, Program);
+  ResultStore::Key K = exactKey(Config, Program);
   ResultStore::Entry E;
   EXPECT_FALSE(Store.load(K, E));
   EXPECT_FALSE(Store.save(K, simulateOne(Config, Program)));
@@ -140,7 +152,7 @@ TEST(ResultStore, TruncatedEntryReadsAsMiss) {
   ResultStore Store(Dir);
   SystemConfig Config = SystemConfig::forCaseStudy(CaseStudy::CpuGpu);
   LoweredProgram Program = lowerKernel(KernelId::Reduction, Config);
-  ResultStore::Key K = ResultStore::keyFor(Config, Program);
+  ResultStore::Key K = exactKey(Config, Program);
   ASSERT_TRUE(Store.save(K, simulateOne(Config, Program)));
 
   // Chop every stored entry in half — a killed writer can't produce this
@@ -175,15 +187,13 @@ TEST(ResultStore, InterruptedSweepResumesByteIdentically) {
   std::string Dir = freshDir("result_store_resume");
   std::vector<SweepPoint> Half(Points.begin(),
                                Points.begin() + long(Points.size() / 2));
-  SweepRunner Interrupted(1);
-  Interrupted.setResultStoreDir(Dir);
+  SweepRunner Interrupted(1, storeAt(Dir));
   Interrupted.run(Half);
   EXPECT_EQ(Interrupted.telemetry().StoreMisses, Half.size());
 
   // Resume: the full sweep against the same store serves the completed
   // half and simulates the rest — and matches the reference exactly.
-  SweepRunner Resumed(1);
-  Resumed.setResultStoreDir(Dir);
+  SweepRunner Resumed(1, storeAt(Dir));
   std::vector<RunResult> Got = Resumed.run(Points);
   EXPECT_EQ(Resumed.telemetry().StoreHits, Half.size());
   EXPECT_EQ(Resumed.telemetry().StoreMisses, Points.size() - Half.size());
@@ -198,8 +208,7 @@ TEST(ResultStore, InterruptedSweepResumesByteIdentically) {
             renderSweepMetricsJson(Points, Reference.metrics()));
 
   // A third run is served entirely from the store.
-  SweepRunner Warm(1);
-  Warm.setResultStoreDir(Dir);
+  SweepRunner Warm(1, storeAt(Dir));
   std::vector<RunResult> Served = Warm.run(Points);
   EXPECT_EQ(Warm.telemetry().StoreHits, Points.size());
   EXPECT_EQ(Warm.telemetry().StoreMisses, 0u);
@@ -217,16 +226,12 @@ TEST(ResultStore, ExactRunIsNeverServedASampledEntry) {
   std::vector<RunResult> Exact = Reference.run(Points);
 
   std::string Dir = freshDir("result_store_tier");
-  setMemFastForTesting(3);
-  SweepRunner Sampled(1);
-  Sampled.setResultStoreDir(Dir);
+  SweepRunner Sampled(1, storeAt(Dir, MemFastMode::Sampled));
   std::vector<RunResult> Approx = Sampled.run(Points);
-  setMemFastForTesting(-1);
   ASSERT_NE(Approx[0].Time.totalNs(), Exact[0].Time.totalNs())
       << "the sampled tier must differ here for the test to mean anything";
 
-  SweepRunner Resumed(1);
-  Resumed.setResultStoreDir(Dir);
+  SweepRunner Resumed(1, storeAt(Dir));
   std::vector<RunResult> Got = Resumed.run(Points);
   EXPECT_EQ(Resumed.telemetry().StoreHits, 0u);
   expectResultEq(Got[0], Exact[0]);
@@ -235,9 +240,9 @@ TEST(ResultStore, ExactRunIsNeverServedASampledEntry) {
 TEST(ResultStore, FromEnvironmentHonorsVariable) {
   std::string Dir = freshDir("result_store_env");
   ::setenv("HETSIM_RESULT_STORE", Dir.c_str(), 1);
-  ResultStore Enabled = ResultStore::fromEnvironment();
+  ResultStore Enabled(RunOptions::fromEnvironment().ResultStoreDir);
   ::unsetenv("HETSIM_RESULT_STORE");
-  ResultStore Disabled = ResultStore::fromEnvironment();
+  ResultStore Disabled(RunOptions::fromEnvironment().ResultStoreDir);
   EXPECT_TRUE(Enabled.enabled());
   EXPECT_EQ(Enabled.root(), Dir);
   EXPECT_FALSE(Disabled.enabled());

@@ -23,6 +23,12 @@ using namespace hetsim;
 
 namespace {
 
+RunOptions withJobs(unsigned Jobs) {
+  RunOptions Opts;
+  Opts.Jobs = Jobs;
+  return Opts;
+}
+
 std::vector<SweepPoint> smallGrid() {
   std::vector<SweepPoint> Points;
   for (CaseStudy Study : {CaseStudy::IdealHetero, CaseStudy::CpuGpu})
@@ -181,9 +187,10 @@ TEST(SweepRunner, TelemetryAttributesBusyAndSimulateTime) {
 }
 
 TEST(SweepRunner, AppendBenchTimingWritesJsonLine) {
-  std::string Path = ::testing::TempDir() + "hetsim_timing_test.json";
+  RunOptions Opts;
+  Opts.TimingJsonPath = ::testing::TempDir() + "hetsim_timing_test.json";
+  const std::string &Path = Opts.TimingJsonPath;
   std::remove(Path.c_str());
-  ::setenv("HETSIM_TIMING_JSON", Path.c_str(), 1);
   SweepTelemetry T;
   T.Jobs = 2;
   T.Points = 4;
@@ -191,9 +198,7 @@ TEST(SweepRunner, AppendBenchTimingWritesJsonLine) {
   T.SimNsTotal = 1000.0;
   T.CacheHits = 3;
   T.CacheMisses = 1;
-  bool Ok = appendBenchTiming("unit", T);
-  ::unsetenv("HETSIM_TIMING_JSON");
-  ASSERT_TRUE(Ok);
+  ASSERT_TRUE(appendBenchTiming("unit", T, Opts));
   std::ifstream In(Path);
   std::stringstream Buffer;
   Buffer << In.rdbuf();
@@ -215,9 +220,6 @@ TEST(SweepRunner, AppendBenchTimingWritesJsonLine) {
 }
 
 TEST(TraceCache, RepeatedSweepHitsCache) {
-  TraceCache &Cache = TraceCache::global();
-  if (!Cache.enabled())
-    GTEST_SKIP() << "HETSIM_TRACE_CACHE=0 set in environment";
   std::vector<SweepPoint> Points;
   for (int I = 0; I != 3; ++I)
     Points.emplace_back(SystemConfig::forCaseStudy(CaseStudy::IdealHetero),
@@ -233,24 +235,24 @@ TEST(TraceCache, RepeatedSweepHitsCache) {
 // Figures 5-7 must be byte-identical between the serial and the widest
 // parallel harness.
 TEST(Determinism, Figures5And6AreJobCountInvariant) {
-  std::vector<ExperimentRow> Serial = runCaseStudies({}, 1);
-  std::vector<ExperimentRow> Wide = runCaseStudies({}, 8);
+  std::vector<ExperimentRow> Serial = runCaseStudies({}, withJobs(1));
+  std::vector<ExperimentRow> Wide = runCaseStudies({}, withJobs(8));
   EXPECT_EQ(renderFigure5(Serial).render(), renderFigure5(Wide).render());
   EXPECT_EQ(renderFigure6(Serial).render(), renderFigure6(Wide).render());
 }
 
 TEST(Determinism, Figure7IsJobCountInvariant) {
-  std::vector<ExperimentRow> Serial = runAddressSpaceStudy({}, 1);
-  std::vector<ExperimentRow> Wide = runAddressSpaceStudy({}, 8);
+  std::vector<ExperimentRow> Serial = runAddressSpaceStudy({}, withJobs(1));
+  std::vector<ExperimentRow> Wide = runAddressSpaceStudy({}, withJobs(8));
   EXPECT_EQ(renderFigure7(Serial).render(), renderFigure7(Wide).render());
 }
 
 TEST(Determinism, PartitionSweepIsJobCountInvariant) {
   SystemConfig Config = SystemConfig::forCaseStudy(CaseStudy::IdealHetero);
   std::vector<PartitionPoint> Serial =
-      sweepPartition(Config, KernelId::Reduction, 10, 1);
+      sweepPartition(Config, KernelId::Reduction, 10, withJobs(1));
   std::vector<PartitionPoint> Wide =
-      sweepPartition(Config, KernelId::Reduction, 10, 8);
+      sweepPartition(Config, KernelId::Reduction, 10, withJobs(8));
   ASSERT_EQ(Serial.size(), Wide.size());
   for (size_t I = 0; I != Serial.size(); ++I) {
     EXPECT_DOUBLE_EQ(Serial[I].CpuFraction, Wide[I].CpuFraction);

@@ -6,6 +6,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "common/RunOptions.h"
 #include "common/ThreadPool.h"
 
 #include "gtest/gtest.h"
@@ -44,19 +45,29 @@ private:
   std::string OldValue;
 };
 
+// The default job count is read once, into RunOptions, and handed to
+// the pool; the pool itself never reads the environment.
 TEST(ThreadPool, DefaultJobsReadsEnv) {
   ScopedEnv Env("HETSIM_JOBS", "3");
-  EXPECT_EQ(ThreadPool::defaultJobs(), 3u);
+  RunOptions Opts = RunOptions::fromEnvironment();
+  EXPECT_EQ(Opts.Jobs, 3u);
+  EXPECT_EQ(ThreadPool(Opts.Jobs).jobs(), 3u);
+  EXPECT_EQ(ThreadPool().jobs(), ThreadPool::defaultJobs());
 }
 
-TEST(ThreadPool, DefaultJobsIgnoresInvalidEnv) {
+TEST(ThreadPool, DefaultJobsRejectsInvalidEnv) {
   {
+    // 0 means the hardware count, as --jobs 0 does.
     ScopedEnv Env("HETSIM_JOBS", "0");
-    EXPECT_GE(ThreadPool::defaultJobs(), 1u);
+    EXPECT_EQ(RunOptions::fromEnvironment().Jobs, 0u);
+    EXPECT_GE(ThreadPool(0).jobs(), 1u);
   }
   {
+    // Not a number: rejected instead of silently running on all cores.
     ScopedEnv Env("HETSIM_JOBS", "not-a-number");
-    EXPECT_GE(ThreadPool::defaultJobs(), 1u);
+    EXPECT_DEATH(RunOptions::fromEnvironment(),
+                 "HETSIM_JOBS must be unset, 0 \\(hardware threads\\) or "
+                 "a positive integer");
   }
 }
 

@@ -143,8 +143,9 @@ int cmdBless(const Options &Opts) {
   return 0;
 }
 
-int cmdDeterminism(const Options &Opts) {
-  DeterminismOutcome Outcome = checkSweepDeterminism(Opts.Jobs, Opts.Kernel);
+int cmdDeterminism(const Options &Opts, const RunOptions &Run) {
+  DeterminismOutcome Outcome =
+      checkSweepDeterminism(Opts.Jobs, Opts.Kernel, Run);
   std::printf("determinism: %s\n%s\n", Outcome.Ok ? "ok" : "FAIL",
               Outcome.Detail.c_str());
   return Outcome.Ok ? 0 : 1;
@@ -159,6 +160,7 @@ int main(int Argc, char **Argv) {
   Options Opts = parseOptions(Argc, Argv, 2);
   if (!Opts.Ok)
     return usage();
+  RunOptions Run = RunOptions::fromEnvironment();
   if (Command == "diff")
     return cmdDiff(Opts);
   if (Command == "fidelity")
@@ -166,6 +168,6 @@ int main(int Argc, char **Argv) {
   if (Command == "bless")
     return cmdBless(Opts);
   if (Command == "determinism")
-    return cmdDeterminism(Opts);
+    return cmdDeterminism(Opts, Run);
   return usage();
 }

@@ -23,7 +23,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -71,8 +70,8 @@ bool systemByName(const std::string &Name, SystemConfig &Out,
 }
 
 void printRun(const SystemConfig &Config, KernelId Kernel, bool DumpStats,
-              const std::string &MetricsPath) {
-  HeteroSimulator Simulator(Config);
+              const std::string &MetricsPath, const RunOptions &Opts) {
+  HeteroSimulator Simulator(Config, Opts);
   RunResult Result = Simulator.run(Kernel);
   const TimeBreakdown &T = Result.Time;
   std::printf("%s / %s\n", Config.Name.c_str(), kernelName(Kernel));
@@ -266,6 +265,7 @@ int main(int Argc, char **Argv) {
   if (Argc < 2)
     return usage();
   std::string Command = Argv[1];
+  RunOptions Opts = RunOptions::fromEnvironment();
 
   if (Command == "list")
     return cmdList();
@@ -286,7 +286,7 @@ int main(int Argc, char **Argv) {
     for (ExtraWorkloadId Id : allExtraWorkloads()) {
       if (Args.Workload != extraWorkloadName(Id))
         continue;
-      HeteroSimulator Simulator(Config);
+      HeteroSimulator Simulator(Config, Opts);
       LoweredProgram Program =
           buildExtraWorkload(Id, Config, Args.Elements);
       RunResult R = Simulator.runLowered(Program);
@@ -319,7 +319,7 @@ int main(int Argc, char **Argv) {
                 "seq_us", "par_us", "comm_us", "comm_frac", "lines");
     for (CaseStudy Study : allCaseStudies()) {
       SystemConfig Config = SystemConfig::forCaseStudy(Study, Args.Overrides);
-      HeteroSimulator Simulator(Config);
+      HeteroSimulator Simulator(Config, Opts);
       RunResult R = Simulator.run(Kernel);
       std::printf("%-14s %10.1f %10.1f %10.1f %10.1f %8.1f%% %6u\n",
                   Config.Name.c_str(), R.Time.totalNs() / 1e3,
@@ -348,11 +348,11 @@ int main(int Argc, char **Argv) {
                      Args.System.c_str());
         return 2;
       }
-      printRun(Config, Kernel, Args.DumpStats, Args.MetricsPath);
+      printRun(Config, Kernel, Args.DumpStats, Args.MetricsPath, Opts);
       return 0;
     }
 
-    // sweep: fan the points over the sweep engine (HETSIM_JOBS workers;
+    // sweep: fan the points over the sweep engine (Opts.Jobs workers;
     // results stay in submission order). Overrides are baked into each
     // point's config, so the point's own store stays empty.
     if (Args.SweepKey.empty() || Args.SweepValues.empty())
@@ -369,20 +369,15 @@ int main(int Argc, char **Argv) {
       }
       Points.emplace_back(std::move(Config), Kernel);
     }
-    SweepRunner Runner;
     // --store names the result-store root explicitly; bare --resume
     // falls back to $HETSIM_RESULT_STORE, then out/result-store. Either
     // flag makes the sweep resumable: completed points are persisted,
     // and a re-run serves them without simulating.
-    if (Args.Resume || !Args.StoreDir.empty()) {
-      std::string Dir = Args.StoreDir;
-      if (Dir.empty())
-        if (const char *Env = std::getenv("HETSIM_RESULT_STORE"))
-          Dir = Env;
-      if (Dir.empty())
-        Dir = "out/result-store";
-      Runner.setResultStoreDir(Dir);
-    }
+    if (!Args.StoreDir.empty())
+      Opts.ResultStoreDir = Args.StoreDir;
+    else if (Args.Resume && Opts.ResultStoreDir.empty())
+      Opts.ResultStoreDir = "out/result-store";
+    SweepRunner Runner(0, Opts);
     std::vector<RunResult> Results = Runner.run(Points);
     std::printf("%-16s %12s %12s %12s\n", Args.SweepKey.c_str(), "total_us",
                 "comm_us", "comm_frac");

@@ -312,7 +312,7 @@ int main(int Argc, char **Argv) {
   std::string ModelName = "weak";
   std::string JsonPath;
   ConfigStore Overrides;
-  unsigned Jobs = 0;
+  unsigned Jobs = RunOptions::fromEnvironment().Jobs; // --jobs overrides.
   size_t MaxDiagnostics = 0;
   size_t FuzzCases = 0;
   uint64_t Seed = 1;
