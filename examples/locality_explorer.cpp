@@ -108,7 +108,7 @@ int main() {
                 "copy %llu cycles  vs  aperture %llu cycles\n",
                 (unsigned long long)Bytes, (unsigned long long)RemapCost,
                 (unsigned long long)Params.pciCopyCycles(Bytes),
-                (unsigned long long)Params.ApiTransfer);
+                (unsigned long long)Params.get<CommField::ApiTransfer>());
     std::printf("   remapping beats copying when the data is large and\n"
                 "   both PUs can reach the shared region — another option\n"
                 "   only the partially shared space offers.\n");

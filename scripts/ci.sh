@@ -88,7 +88,8 @@ if [ "${HETSIM_SKIP_TSAN:-0}" != "1" ]; then
   # triple the gate's wall clock for no extra coverage.
   cmake -B build-tsan -S . -DHETSIM_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j "$JOBS" --target trace_cache_stress_test \
-    threadpool_test sweep_test result_store_test run_options_test >/dev/null
+    threadpool_test sweep_test sweep_dedup_test result_store_test \
+    run_options_test >/dev/null
   ctest --test-dir build-tsan \
     -R 'TraceCache|ThreadPool|SweepRunner|ResultStore|Determinism|RunOptions' \
     --output-on-failure -j "$JOBS" | tail -3

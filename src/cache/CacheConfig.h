@@ -39,6 +39,8 @@ struct CacheConfig {
   /// cache, so the default leaves one way for implicit blocks.
   unsigned MaxExplicitWays = 0; // 0 = Ways - 1.
 
+  bool operator==(const CacheConfig &) const = default;
+
   /// Number of sets implied by the geometry.
   unsigned numSets() const {
     return unsigned(SizeBytes / (uint64_t(Ways) * LineBytes));

@@ -24,6 +24,8 @@ struct PrefetcherConfig {
   unsigned Degree = 2;       ///< Lines prefetched ahead per trigger.
   unsigned MinConfidence = 2; ///< Stride repeats before issuing.
   uint64_t MatchWindowBytes = 4096; ///< Stream-matching proximity.
+
+  bool operator==(const PrefetcherConfig &) const = default;
 };
 
 /// Prefetcher statistics.

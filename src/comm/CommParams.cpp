@@ -6,41 +6,54 @@
 
 using namespace hetsim;
 
+namespace {
+
+Cycle readValue(const ConfigStore &Config, const char *Key, Cycle Default) {
+  return Config.getUInt(Key, Default);
+}
+double readValue(const ConfigStore &Config, const char *Key, double Default) {
+  return Config.getDouble(Key, Default);
+}
+bool readValue(const ConfigStore &Config, const char *Key, bool Default) {
+  return Config.getBool(Key, Default);
+}
+
+void writeValue(ConfigStore &Config, const char *Key, Cycle Value) {
+  Config.setInt(Key, int64_t(Value));
+}
+void writeValue(ConfigStore &Config, const char *Key, double Value) {
+  Config.setDouble(Key, Value);
+}
+void writeValue(ConfigStore &Config, const char *Key, bool Value) {
+  Config.setBool(Key, Value);
+}
+
+template <size_t... I>
+void readAll(CommParams &P, const ConfigStore &Config,
+             std::index_sequence<I...>) {
+  (P.set<CommField(I)>(readValue(Config, CommParams::Keys[I],
+                                         P.get<CommField(I)>())),
+   ...);
+}
+
+} // namespace
+
 Cycle CommParams::pciCopyCycles(uint64_t Bytes) const {
-  if (PinnedHostMemory)
-    return ApiPciBase + transferCycles(PuKind::Cpu, Bytes, PciBytesPerSec);
-  return ApiPciBase + PageableStagingOverhead +
-         transferCycles(PuKind::Cpu, Bytes,
-                        PciBytesPerSec * PageableRateFactor);
+  Cycle Base = get<CommField::ApiPciBase>();
+  double Rate = get<CommField::PciBytesPerSec>();
+  if (get<CommField::PinnedHostMemory>())
+    return Base + transferCycles(PuKind::Cpu, Bytes, Rate);
+  return Base + get<CommField::PageableStagingOverhead>() +
+         transferCycles(PuKind::Cpu, Bytes, Rate * get<CommField::PageableRateFactor>());
 }
 
 CommParams CommParams::fromConfig(const ConfigStore &Config) {
   CommParams P;
-  P.ApiPciBase = Config.getUInt("comm.api_pci_base", P.ApiPciBase);
-  P.PciBytesPerSec =
-      Config.getDouble("comm.pci_bytes_per_sec", P.PciBytesPerSec);
-  P.ApiAcquire = Config.getUInt("comm.api_acq", P.ApiAcquire);
-  P.ApiTransfer = Config.getUInt("comm.api_tr", P.ApiTransfer);
-  P.LibPageFault = Config.getUInt("comm.lib_pf", P.LibPageFault);
-  P.AsyncIssueOverhead =
-      Config.getUInt("comm.async_issue", P.AsyncIssueOverhead);
-  P.PinnedHostMemory =
-      Config.getBool("comm.pinned_host", P.PinnedHostMemory);
-  P.PageableRateFactor =
-      Config.getDouble("comm.pageable_rate_factor", P.PageableRateFactor);
-  P.PageableStagingOverhead = Config.getUInt("comm.pageable_staging",
-                                             P.PageableStagingOverhead);
+  readAll(P, Config, std::make_index_sequence<NumCommFields>());
+  P.clearReads();
   return P;
 }
 
 void CommParams::toConfig(ConfigStore &Config) const {
-  Config.setInt("comm.api_pci_base", int64_t(ApiPciBase));
-  Config.setDouble("comm.pci_bytes_per_sec", PciBytesPerSec);
-  Config.setInt("comm.api_acq", int64_t(ApiAcquire));
-  Config.setInt("comm.api_tr", int64_t(ApiTransfer));
-  Config.setInt("comm.lib_pf", int64_t(LibPageFault));
-  Config.setInt("comm.async_issue", int64_t(AsyncIssueOverhead));
-  Config.setBool("comm.pinned_host", PinnedHostMemory);
-  Config.setDouble("comm.pageable_rate_factor", PageableRateFactor);
-  Config.setInt("comm.pageable_staging", int64_t(PageableStagingOverhead));
+  visit([&](const char *Key, auto Value) { writeValue(Config, Key, Value); });
 }

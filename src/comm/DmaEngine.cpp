@@ -11,14 +11,15 @@ TransferTiming DmaEngine::transfer(uint64_t Bytes, TransferDir Dir,
   note(Bytes);
   // The engine performs the copy on the wrapped link, starting when both
   // the request is issued and the engine is free.
-  Cycle Start = std::max(NowCpu + Params.AsyncIssueOverhead, EngineFree);
+  Cycle Issue = Params.get<CommField::AsyncIssueOverhead>();
+  Cycle Start = std::max(NowCpu + Issue, EngineFree);
   TransferTiming LinkTiming = Link->transfer(Bytes, Dir, Start);
   EngineFree = Start + LinkTiming.CpuBusyCycles;
   TotalBusy += LinkTiming.CpuBusyCycles;
 
   TransferTiming T;
   T.Asynchronous = true;
-  T.CpuBusyCycles = Params.AsyncIssueOverhead;
+  T.CpuBusyCycles = Issue;
   T.CompleteCycle = EngineFree;
   return T;
 }

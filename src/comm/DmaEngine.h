@@ -22,8 +22,10 @@ namespace hetsim {
 /// Asynchronous wrapper over a synchronous link.
 class DmaEngine final : public CommFabric {
 public:
+  /// \p P is the simulator's own CommParams (non-owning).
   DmaEngine(const CommParams &P, std::unique_ptr<CommFabric> Backend)
       : Params(P), Link(std::move(Backend)) {}
+  DmaEngine(CommParams &&, std::unique_ptr<CommFabric>) = delete;
 
   const char *name() const override { return "dma-async"; }
 
@@ -44,7 +46,7 @@ public:
   }
 
 private:
-  CommParams Params;
+  const CommParams &Params;
   std::unique_ptr<CommFabric> Link;
   Cycle EngineFree = 0;
   uint64_t TotalBusy = 0;

@@ -9,7 +9,7 @@ TransferTiming PciAperture::transfer(uint64_t Bytes, TransferDir,
   note(Bytes);
   TransferTiming T;
   uint64_t Windows = Bytes == 0 ? 1 : ceilDiv(Bytes, WindowBytes);
-  T.CpuBusyCycles = Windows * Params.ApiTransfer;
+  T.CpuBusyCycles = Windows * Params.get<CommField::ApiTransfer>();
   T.CompleteCycle = NowCpu + T.CpuBusyCycles;
   return T;
 }

@@ -22,9 +22,11 @@ class PciAperture final : public CommFabric {
 public:
   /// \p WindowBytes is the user-space aperture window; Table III's largest
   /// initial transfer (512KB) fits the default, so LRB pays one api-tr per
-  /// communication in the paper's runs.
+  /// communication in the paper's runs. \p P is the simulator's own
+  /// CommParams (non-owning).
   PciAperture(const CommParams &P, uint64_t Window = 1ull << 20)
       : Params(P), WindowBytes(Window) {}
+  PciAperture(CommParams &&, uint64_t = 0) = delete;
 
   const char *name() const override { return "pci-aperture"; }
 
@@ -34,7 +36,7 @@ public:
   uint64_t windowBytes() const { return WindowBytes; }
 
 private:
-  CommParams Params;
+  const CommParams &Params;
   uint64_t WindowBytes;
 };
 

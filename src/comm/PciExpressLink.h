@@ -17,17 +17,18 @@ namespace hetsim {
 /// Synchronous PCI-E transfer fabric.
 class PciExpressLink final : public CommFabric {
 public:
+  /// \p P is the simulator's own CommParams (non-owning): reads through
+  /// it are recorded in its read mask.
   explicit PciExpressLink(const CommParams &P) : Params(P) {}
+  explicit PciExpressLink(CommParams &&) = delete;
 
   const char *name() const override { return "pci-e"; }
 
   TransferTiming transfer(uint64_t Bytes, TransferDir Dir,
                           Cycle NowCpu) override;
 
-  const CommParams &params() const { return Params; }
-
 private:
-  CommParams Params;
+  const CommParams &Params;
 };
 
 } // namespace hetsim

@@ -3,6 +3,7 @@
 #include "common/RunOptions.h"
 
 #include "common/Error.h"
+#include "common/StringUtil.h"
 
 #include <climits>
 #include <cstdlib>
@@ -24,19 +25,15 @@ const char *hetsim::memFastModeName(MemFastMode Mode) {
 
 namespace {
 
-/// Parses a job count: decimal digits only, at most UINT_MAX.
+/// Parses a job count: unset or empty is 0, else decimal digits only, at
+/// most UINT_MAX.
 std::optional<unsigned> parseJobs(const char *Value) {
   if (!Value || !*Value)
     return 0u;
-  unsigned long long Jobs = 0;
-  for (const char *P = Value; *P; ++P) {
-    if (*P < '0' || *P > '9')
-      return std::nullopt;
-    Jobs = Jobs * 10 + unsigned(*P - '0');
-    if (Jobs > UINT_MAX)
-      return std::nullopt;
-  }
-  return unsigned(Jobs);
+  std::optional<uint64_t> Jobs = parseDecimal(Value, UINT_MAX);
+  if (!Jobs)
+    return std::nullopt;
+  return unsigned(*Jobs);
 }
 
 } // namespace

@@ -67,3 +67,19 @@ bool hetsim::startsWith(const std::string &Text, const std::string &Prefix) {
   return Text.size() >= Prefix.size() &&
          Text.compare(0, Prefix.size(), Prefix) == 0;
 }
+
+std::optional<uint64_t> hetsim::parseDecimal(const std::string &Text,
+                                             uint64_t Max) {
+  if (Text.empty())
+    return std::nullopt;
+  uint64_t Value = 0;
+  for (char C : Text) {
+    if (C < '0' || C > '9')
+      return std::nullopt;
+    uint64_t Digit = uint64_t(C - '0');
+    if (Value > (Max - Digit) / 10)
+      return std::nullopt;
+    Value = Value * 10 + Digit;
+  }
+  return Value;
+}

@@ -10,6 +10,7 @@
 #define HETSIM_COMMON_STRINGUTIL_H
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -35,6 +36,12 @@ std::string formatCount(uint64_t Value);
 
 /// Returns true if \p Text starts with \p Prefix.
 bool startsWith(const std::string &Text, const std::string &Prefix);
+
+/// Parses a non-negative decimal integer: one or more digits and nothing
+/// else (no sign, space, hex prefix or suffix), at most \p Max. Returns
+/// nullopt for anything else.
+std::optional<uint64_t> parseDecimal(const std::string &Text,
+                                     uint64_t Max = UINT64_MAX);
 
 } // namespace hetsim
 

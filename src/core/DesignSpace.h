@@ -77,6 +77,8 @@ struct LocalityScheme {
   LocalityMgmt GpuPrivate = LocalityMgmt::Implicit;
   SharedLocality Shared = SharedLocality::Implicit;
 
+  bool operator==(const LocalityScheme &) const = default;
+
   /// True if the two PUs use different private schemes (the
   /// "implicit-private-explicit-private-*" options of II-B3/II-B4).
   bool mixedPrivate() const { return CpuPrivate != GpuPrivate; }

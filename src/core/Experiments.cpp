@@ -219,15 +219,18 @@ TextTable hetsim::renderTable3() {
 
 TextTable hetsim::renderTable4(const CommParams &Params) {
   TextTable Table({"Name", "Description", "System", "Latency"});
-  Table.addRow({"api-pci", "mem copy using PCI-E", "CPU+GPU, GMAC",
-                std::to_string(Params.ApiPciBase) + "+trans_rate (" +
-                    formatDouble(Params.PciBytesPerSec / 1e9, 0) + "GB/s)"});
+  Table.addRow(
+      {"api-pci", "mem copy using PCI-E", "CPU+GPU, GMAC",
+       std::to_string(Params.get<CommField::ApiPciBase>()) +
+           "+trans_rate (" +
+           formatDouble(Params.get<CommField::PciBytesPerSec>() / 1e9, 0) +
+           "GB/s)"});
   Table.addRow({"api-acq", "acquire action", "LRB",
-                std::to_string(Params.ApiAcquire)});
+                std::to_string(Params.get<CommField::ApiAcquire>())});
   Table.addRow({"api-tr", "data transfer", "LRB",
-                std::to_string(Params.ApiTransfer)});
+                std::to_string(Params.get<CommField::ApiTransfer>())});
   Table.addRow({"lib-pf", "page fault", "LRB",
-                std::to_string(Params.LibPageFault)});
+                std::to_string(Params.get<CommField::LibPageFault>())});
   return Table;
 }
 

@@ -42,6 +42,7 @@ void accumulate(SegmentResult &Total, const SegmentResult &Part) {
 
 HeteroSimulator::HeteroSimulator(const SystemConfig &Cfg, RunOptions O)
     : Config(Cfg), Opts(std::move(O)) {
+  Config.Comm.clearReads();
   buildMachine();
 }
 
@@ -273,8 +274,9 @@ RunResult HeteroSimulator::runLowered(const LoweredProgram &Program) {
       double FaultNs = 0;
       if (Step.PageFaultPages != 0) {
         Result.PageFaults += Step.PageFaultPages;
-        FaultNs = cyclesToNs(PuKind::Cpu,
-                             Step.PageFaultPages * Config.Comm.LibPageFault);
+        FaultNs = cyclesToNs(
+            PuKind::Cpu, Step.PageFaultPages *
+                             Config.Comm.get<CommField::LibPageFault>());
       }
 
       double SpanNs = std::max(CpuNs, DelayNs + GpuNs + FaultNs);
@@ -345,9 +347,9 @@ RunResult HeteroSimulator::runLowered(const LoweredProgram &Program) {
       }
       Result.OwnershipActions += Step.Objects.empty() ? 0 : 2;
       Cycle OwnStart = CpuNow;
-      ChargeComm(RunPhase::Ownership, Config.IdealComm
-                                          ? IdealCommCyclesPerOp
-                                          : Config.Comm.ApiAcquire);
+      ChargeComm(RunPhase::Ownership,
+                 Config.IdealComm ? IdealCommCyclesPerOp
+                                  : Config.Comm.get<CommField::ApiAcquire>());
       Trace.complete(TraceTrack::Driver, "ownership_to_gpu", CpuUs(OwnStart),
                      CpuUs(CpuNow - OwnStart), "objects",
                      Step.Objects.size());
@@ -365,9 +367,9 @@ RunResult HeteroSimulator::runLowered(const LoweredProgram &Program) {
       // Release semantics: the GPU's dirty shared lines become visible.
       Mem->flushPrivate(PuKind::Gpu);
       Cycle OwnStart = CpuNow;
-      ChargeComm(RunPhase::Ownership, Config.IdealComm
-                                          ? IdealCommCyclesPerOp
-                                          : Config.Comm.ApiAcquire);
+      ChargeComm(RunPhase::Ownership,
+                 Config.IdealComm ? IdealCommCyclesPerOp
+                                  : Config.Comm.get<CommField::ApiAcquire>());
       Trace.complete(TraceTrack::Driver, "ownership_to_cpu", CpuUs(OwnStart),
                      CpuUs(CpuNow - OwnStart), "objects",
                      Step.Objects.size());

@@ -30,6 +30,8 @@ struct TimeBreakdown {
   double ParallelNs = 0;
   double CommunicationNs = 0;
 
+  bool operator==(const TimeBreakdown &) const = default;
+
   double totalNs() const {
     return SequentialNs + ParallelNs + CommunicationNs;
   }
@@ -54,6 +56,8 @@ struct RunResult {
   uint64_t OwnershipActions = 0;
   double PushNs = 0;          ///< Explicit-locality push time (in comm).
   unsigned CommSourceLines = 0; ///< Table V cell for this (kernel, model).
+
+  bool operator==(const RunResult &) const = default;
 };
 
 /// One simulated system instance. Construct once per configuration; each
@@ -75,6 +79,12 @@ public:
 
   /// The memory system of the most recent run (for post-run inspection).
   MemorySystem &memory();
+
+  /// The communication parameters this simulator's runs have read since
+  /// construction (CommParams::bit per field). Every read of the
+  /// configuration's CommParams, by the simulator or its fabric, goes
+  /// through CommParams::get(), so the mask is complete by construction.
+  CommReadMask commReads() const { return Config.Comm.readMask(); }
 
   /// The event timeline of the most recent run. Populated on every run;
   /// written to `<TraceEventsDir>/<system>_<kernel>.trace.json` when the

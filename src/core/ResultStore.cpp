@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <type_traits>
 #include <unistd.h>
 
 using namespace hetsim;
@@ -211,16 +212,12 @@ uint64_t hetsim::hashSystemConfig(const SystemConfig &Config) {
       .word(Hier.Prefetch.MinConfidence)
       .word(Hier.Prefetch.MatchWindowBytes);
 
-  const CommParams &Comm = Config.Comm;
-  F.word(Comm.ApiPciBase)
-      .real(Comm.PciBytesPerSec)
-      .word(Comm.ApiAcquire)
-      .word(Comm.ApiTransfer)
-      .word(Comm.LibPageFault)
-      .word(Comm.AsyncIssueOverhead)
-      .word(Comm.PinnedHostMemory ? 1 : 0)
-      .real(Comm.PageableRateFactor)
-      .word(Comm.PageableStagingOverhead);
+  Config.Comm.visit([&](const char *, auto Value) {
+    if constexpr (std::is_same_v<decltype(Value), double>)
+      F.real(Value);
+    else
+      F.word(uint64_t(Value));
+  });
 
   return F.take();
 }

@@ -14,20 +14,76 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <mutex>
+#include <optional>
 
 using namespace hetsim;
+
+namespace {
+
+/// The points one run() has simulated, searched for read-set dedup (see
+/// SweepRunner). Workers add and search concurrently, so every access
+/// holds the mutex.
+class SimulatedPoints {
+public:
+  /// The index of a finished simulated point whose result \p Config on
+  /// \p Kernel must reproduce: equal outside CommParams, and equal on
+  /// every comm field the simulated run read.
+  std::optional<size_t> find(KernelId Kernel, const SystemConfig &Config) {
+    SystemConfig Probe = Config;
+    std::lock_guard<std::mutex> Lock(Mutex);
+    for (const Entry &E : Entries) {
+      if (E.Kernel != Kernel)
+        continue;
+      Probe.Comm = E.Config.Comm;
+      if (Probe == E.Config && Config.Comm.agreesOn(E.Config.Comm, E.Reads)) {
+        ++Hits;
+        return E.Index;
+      }
+    }
+    return std::nullopt;
+  }
+
+  /// Records that point \p Index simulated \p Config on \p Kernel and
+  /// read the comm fields in \p Reads.
+  void add(KernelId Kernel, const SystemConfig &Config, CommReadMask Reads,
+           size_t Index) {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    Entries.push_back({Kernel, Config, Reads, Index});
+  }
+
+  uint64_t hits() {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    return Hits;
+  }
+
+private:
+  struct Entry {
+    KernelId Kernel;
+    SystemConfig Config;
+    CommReadMask Reads;
+    size_t Index;
+  };
+  std::mutex Mutex;
+  std::vector<Entry> Entries;
+  uint64_t Hits = 0;
+};
+
+} // namespace
 
 std::string SweepTelemetry::summary() const {
   char Buffer[384];
   std::snprintf(Buffer, sizeof(Buffer),
                 "sweep: %llu points in %.3f s (%.1f points/s, %.3g sim-ns "
                 "per wall-s, gen %.3f s / sim %.3f s / wait %.3f s, "
-                "jobs=%u from %s, trace cache %.0f%% hits)",
+                "jobs=%u from %s, trace cache %.0f%% hits, %llu dedup "
+                "hits)",
                 static_cast<unsigned long long>(Points), WallSeconds,
                 pointsPerSecond(), simNsPerWallSecond(),
                 traceGenWallSeconds(), simulateSeconds(),
                 lockWaitWallSeconds(), Jobs, JobsSource.c_str(),
-                100.0 * cacheHitRate());
+                100.0 * cacheHitRate(),
+                static_cast<unsigned long long>(DedupHits));
   return Buffer;
 }
 
@@ -44,6 +100,7 @@ void SweepTelemetry::merge(const SweepTelemetry &Other) {
   CacheMisses += Other.CacheMisses;
   StoreHits += Other.StoreHits;
   StoreMisses += Other.StoreMisses;
+  DedupHits += Other.DedupHits;
 }
 
 SweepRunner::SweepRunner(unsigned JobCount, RunOptions O)
@@ -60,6 +117,7 @@ SweepRunner::run(const std::vector<SweepPoint> &Points) {
   Metrics.assign(Points.size(), MetricsSnapshot());
 
   ResultStore Store(Opts.ResultStoreDir);
+  SimulatedPoints Done;
 
   // Per-worker phase counters. Worker ids from parallelForWorkers are
   // stable in [0, min(Points, Jobs)), so each worker owns one slot and
@@ -92,24 +150,34 @@ SweepRunner::run(const std::vector<SweepPoint> &Points) {
       uint64_t GenStart = threadTraceGenNanos();
       uint64_t WaitStart = threadTraceCacheWaitNanos();
 
-      HeteroSimulator Simulator(Config, Opts);
+      // With a store, the key needs the lowered program; a stored entry
+      // is served before the dedup table is consulted, and a copied
+      // point is still saved under its own key so --resume finds it.
+      std::optional<LoweredProgram> Program;
+      std::optional<ResultStore::Key> Key;
+      ResultStore::Entry Stored;
       if (Store.enabled()) {
-        LoweredProgram Program = lowerKernel(Point.Kernel, Config, Opts);
-        ResultStore::Key K = ResultStore::keyFor(Config, Program, Opts.Tier);
-        ResultStore::Entry E;
-        if (Store.load(K, E)) {
-          Results[I] = E.Result;
-          Metrics[I] = E.Metrics;
-        } else {
-          Results[I] = Simulator.runLowered(Program);
-          Metrics[I] = Simulator.collectMetrics(Results[I]);
-          Store.save(K, {Results[I], Metrics[I]});
-        }
+        Program = lowerKernel(Point.Kernel, Config, Opts);
+        Key = ResultStore::keyFor(Config, *Program, Opts.Tier);
+      }
+      if (Key && Store.load(*Key, Stored)) {
+        Results[I] = std::move(Stored.Result);
+        Metrics[I] = std::move(Stored.Metrics);
       } else {
-        Results[I] = Simulator.run(Point.Kernel);
-        // Snapshot while the simulator (and its memory system) is alive;
-        // each worker writes only its own slot.
-        Metrics[I] = Simulator.collectMetrics(Results[I]);
+        if (std::optional<size_t> Twin = Done.find(Point.Kernel, Config)) {
+          Results[I] = Results[*Twin];
+          Metrics[I] = Metrics[*Twin];
+        } else {
+          HeteroSimulator Simulator(Config, Opts);
+          Results[I] = Program ? Simulator.runLowered(*Program)
+                               : Simulator.run(Point.Kernel);
+          // Snapshot while the simulator (and its memory system) is
+          // alive; each worker writes only its own slot.
+          Metrics[I] = Simulator.collectMetrics(Results[I]);
+          Done.add(Point.Kernel, Config, Simulator.commReads(), I);
+        }
+        if (Key)
+          Store.save(*Key, {Results[I], Metrics[I]});
       }
 
       WorkerCounters &C = Workers[Worker];
@@ -139,6 +207,7 @@ SweepRunner::run(const std::vector<SweepPoint> &Points) {
   }
   Telemetry.StoreHits = Store.hits();
   Telemetry.StoreMisses = Store.misses();
+  Telemetry.DedupHits = Done.hits();
   for (const RunResult &Result : Results)
     Telemetry.SimNsTotal += Result.Time.totalNs();
   TraceCacheStats After = TraceCache::global().stats();
@@ -147,6 +216,7 @@ SweepRunner::run(const std::vector<SweepPoint> &Points) {
   // Mirror the process-lifetime cache counters into the stats registry so
   // observability consumers see them without knowing about TraceCache.
   TraceCache::global().publishStats(processStats());
+  processStats().counterRef("sweep.dedup_hits") += Telemetry.DedupHits;
   return Results;
 }
 
@@ -196,7 +266,8 @@ bool hetsim::appendBenchTiming(const std::string &Bench,
                "\"cache_misses\":%llu,\"cache_hit_rate\":%.4f,"
                "\"jobs_source\":\"%s\",\"trace_gen_s\":%.6f,"
                "\"simulate_s\":%.6f,\"lock_wait_s\":%.6f,"
-               "\"store_hits\":%llu,\"store_misses\":%llu}\n",
+               "\"store_hits\":%llu,\"store_misses\":%llu,"
+               "\"dedup_hits\":%llu}\n",
                Bench.c_str(), static_cast<unsigned long long>(T.Points),
                T.Jobs, T.WallSeconds, T.pointsPerSecond(),
                T.simNsPerWallSecond(),
@@ -206,7 +277,8 @@ bool hetsim::appendBenchTiming(const std::string &Bench,
                T.traceGenWallSeconds(), T.simulateSeconds(),
                T.lockWaitWallSeconds(),
                static_cast<unsigned long long>(T.StoreHits),
-               static_cast<unsigned long long>(T.StoreMisses));
+               static_cast<unsigned long long>(T.StoreMisses),
+               static_cast<unsigned long long>(T.DedupHits));
   std::fclose(File);
   return true;
 }

@@ -67,6 +67,9 @@ struct SweepTelemetry {
   uint64_t CacheMisses = 0; ///< Trace-cache misses during the sweep.
   uint64_t StoreHits = 0;   ///< Points served from the result store.
   uint64_t StoreMisses = 0; ///< Points simulated (store enabled but cold).
+  /// Points that copied an earlier point of the same sweep instead of
+  /// simulating (the read-set rule on SweepRunner).
+  uint64_t DedupHits = 0;
 
   double pointsPerSecond() const {
     return WallSeconds <= 0 ? 0.0 : double(Points) / WallSeconds;
@@ -120,6 +123,18 @@ struct SweepTelemetry {
 /// Opts.ResultStoreDir routes results through a content-addressed
 /// on-disk store (see core/ResultStore.h): completed points are
 /// persisted, already-stored points are served without simulating.
+///
+/// Within one run(), a point is simulated only if no earlier simulated
+/// point already determines its result (read-set dedup): a point copies
+/// the RunResult and metrics of a simulated point when both run the same
+/// kernel, their final configs are equal in every field outside
+/// CommParams, and they agree on every CommParams field the simulated
+/// run read (HeteroSimulator::commReads()). The simulator is
+/// deterministic in exactly those inputs, so agreeing on every value the
+/// run read means the same execution, and the copy is bit-identical to a
+/// fresh simulation. A comm-latency sweep over a system that never reads
+/// the swept key (LRB and Fusion never read comm.api_pci_base) simulates
+/// once. At jobs>1 a point whose twin is still running simply simulates.
 class SweepRunner {
 public:
   explicit SweepRunner(unsigned Jobs = 0, RunOptions Opts = {});

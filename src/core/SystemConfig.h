@@ -75,6 +75,11 @@ struct SystemConfig {
   MemHierConfig Hier;
   CommParams Comm;
 
+  /// Field-by-field identity, nested configs included (complete by
+  /// construction). SweepRunner's dedup and the config-identity tests
+  /// rely on it.
+  bool operator==(const SystemConfig &) const = default;
+
   /// Builds the preset for \p Study, applying \p Overrides (e.g.
   /// "comm.api_pci_base=1000") last.
   static SystemConfig forCaseStudy(CaseStudy Study,

@@ -42,6 +42,8 @@ struct CpuConfig {
   /// store gets its data from the store buffer (1 cycle after the store
   /// issued) instead of waiting on the hierarchy.
   bool EnableStoreForwarding = true;
+
+  bool operator==(const CpuConfig &) const = default;
 };
 
 /// Results of running one trace segment on a core.
@@ -63,6 +65,8 @@ struct SegmentResult {
   /// records' spread between the best and worst measured rates).
   uint64_t SampledRecords = 0;
   double SampledErrorCycles = 0;
+
+  bool operator==(const SegmentResult &) const = default;
 
   double ipc() const {
     return Cycles == 0 ? 0.0 : double(Insts) / double(Cycles);

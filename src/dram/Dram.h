@@ -41,6 +41,8 @@ struct DramConfig {
   /// baseline (and FR-FCFS) assumes open-page.
   bool ClosedPage = false;
 
+  bool operator==(const DramConfig &) const = default;
+
   bool isValid() const {
     return Channels > 0 && isPowerOf2(Channels) && BanksPerChannel > 0 &&
            isPowerOf2(BanksPerChannel) && isPowerOf2(RowBytes);

@@ -39,6 +39,8 @@ struct GpuConfig {
   /// larger than a loop iteration so intra-iteration register dependences
   /// stay within one warp's register file.
   unsigned WarpChunkRecords = 32;
+
+  bool operator==(const GpuConfig &) const = default;
 };
 
 /// The in-order SIMD core.

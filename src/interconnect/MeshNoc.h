@@ -24,6 +24,8 @@ struct MeshConfig {
   Cycle HopLatency = 1;
   Cycle InjectOccupancy = 1;
   Cycle MaxQueueDelay = 64;
+
+  bool operator==(const MeshConfig &) const = default;
 };
 
 /// The mesh network.

@@ -39,6 +39,8 @@ struct RingConfig {
   /// Cap on the injection-queue delay one message can inherit (see
   /// DramConfig::MaxQueueDelay for the rationale).
   Cycle MaxQueueDelay = 64;
+
+  bool operator==(const RingConfig &) const = default;
 };
 
 /// The ring network.

@@ -76,6 +76,8 @@ struct MemHierConfig {
   /// Stream prefetching into the CPU L2 (off in the Table II baseline).
   bool EnableL2Prefetch = false;
   PrefetcherConfig Prefetch;
+
+  bool operator==(const MemHierConfig &) const = default;
 };
 
 /// Which level served an access.

@@ -40,6 +40,8 @@ const char *runPhaseName(RunPhase Phase);
 struct PhaseBreakdown {
   double Ns[NumRunPhases] = {};
 
+  bool operator==(const PhaseBreakdown &) const = default;
+
   void add(RunPhase Phase, double DeltaNs) {
     Ns[unsigned(Phase)] += DeltaNs;
   }

@@ -21,11 +21,11 @@ using namespace hetsim;
 
 TEST(CommParams, TableFourDefaults) {
   CommParams P;
-  EXPECT_EQ(P.ApiPciBase, 33250u);
-  EXPECT_EQ(P.ApiAcquire, 1000u);
-  EXPECT_EQ(P.ApiTransfer, 7000u);
-  EXPECT_EQ(P.LibPageFault, 42000u);
-  EXPECT_DOUBLE_EQ(P.PciBytesPerSec, 16e9);
+  EXPECT_EQ(P.get<CommField::ApiPciBase>(), 33250u);
+  EXPECT_EQ(P.get<CommField::ApiAcquire>(), 1000u);
+  EXPECT_EQ(P.get<CommField::ApiTransfer>(), 7000u);
+  EXPECT_EQ(P.get<CommField::LibPageFault>(), 42000u);
+  EXPECT_DOUBLE_EQ(P.get<CommField::PciBytesPerSec>(), 16e9);
 }
 
 TEST(CommParams, PciCopyFormula) {
@@ -41,34 +41,35 @@ TEST(CommParams, PciCopyFormula) {
 
 TEST(CommParams, ConfigRoundTrip) {
   CommParams P;
-  P.ApiPciBase = 1234;
-  P.LibPageFault = 99;
+  P.set<CommField::ApiPciBase>(1234);
+  P.set<CommField::LibPageFault>(99);
   ConfigStore Config;
   P.toConfig(Config);
   CommParams Q = CommParams::fromConfig(Config);
-  EXPECT_EQ(Q.ApiPciBase, 1234u);
-  EXPECT_EQ(Q.LibPageFault, 99u);
-  EXPECT_EQ(Q.ApiAcquire, P.ApiAcquire);
+  EXPECT_EQ(Q.get<CommField::ApiPciBase>(), 1234u);
+  EXPECT_EQ(Q.get<CommField::LibPageFault>(), 99u);
+  EXPECT_EQ(Q, P);
 }
 
 TEST(CommParams, OverridesFromConfig) {
   ConfigStore Config;
   Config.setInt("comm.api_pci_base", 1000);
   CommParams P = CommParams::fromConfig(Config);
-  EXPECT_EQ(P.ApiPciBase, 1000u);
-  EXPECT_EQ(P.ApiTransfer, 7000u); // Untouched default.
+  EXPECT_EQ(P.get<CommField::ApiPciBase>(), 1000u);
+  EXPECT_EQ(P.get<CommField::ApiTransfer>(), 7000u); // Untouched default.
 }
 
 TEST(CommParams, PageableHostMemoryCostsMore) {
   CommParams Pinned;
   CommParams Pageable;
-  Pageable.PinnedHostMemory = false;
+  Pageable.set<CommField::PinnedHostMemory>(false);
   uint64_t Bytes = 1 << 20;
   Cycle PinnedCost = Pinned.pciCopyCycles(Bytes);
   Cycle PageableCost = Pageable.pciCopyCycles(Bytes);
   EXPECT_GT(PageableCost, PinnedCost);
   // The bandwidth term scales by the rate factor plus staging.
-  Cycle Expected = Pinned.ApiPciBase + Pageable.PageableStagingOverhead +
+  Cycle Expected = Pinned.get<CommField::ApiPciBase>() +
+                   Pageable.get<CommField::PageableStagingOverhead>() +
                    transferCycles(PuKind::Cpu, Bytes, 16e9 * 0.55);
   EXPECT_EQ(PageableCost, Expected);
 }
@@ -78,8 +79,43 @@ TEST(CommParams, PageableConfigKeys) {
   Config.setBool("comm.pinned_host", false);
   Config.setDouble("comm.pageable_rate_factor", 0.25);
   CommParams P = CommParams::fromConfig(Config);
-  EXPECT_FALSE(P.PinnedHostMemory);
-  EXPECT_DOUBLE_EQ(P.PageableRateFactor, 0.25);
+  EXPECT_FALSE(P.get<CommField::PinnedHostMemory>());
+  EXPECT_DOUBLE_EQ(P.get<CommField::PageableRateFactor>(), 0.25);
+}
+
+TEST(CommParams, ReadsAreRecordedPerField) {
+  CommParams P;
+  EXPECT_EQ(P.readMask(), 0u);
+  (void)P.get<CommField::ApiTransfer>();
+  EXPECT_EQ(P.readMask(), CommParams::bit(CommField::ApiTransfer));
+  (void)P.pciCopyCycles(4096);
+  EXPECT_TRUE(P.readMask() & CommParams::bit(CommField::ApiPciBase));
+  EXPECT_TRUE(P.readMask() & CommParams::bit(CommField::PinnedHostMemory));
+  // Pinned copies never consult the pageable knobs.
+  EXPECT_FALSE(P.readMask() &
+               CommParams::bit(CommField::PageableStagingOverhead));
+  P.clearReads();
+  EXPECT_EQ(P.readMask(), 0u);
+  // A fabric reads through the caller's instance, not a copy.
+  PciAperture Aperture{P};
+  Aperture.transfer(4096, TransferDir::HostToDevice, 0);
+  EXPECT_EQ(P.readMask(), CommParams::bit(CommField::ApiTransfer));
+}
+
+TEST(CommParams, IdentityIgnoresTheReadMask) {
+  CommParams A, B;
+  (void)A.get<CommField::LibPageFault>();
+  EXPECT_EQ(A, B);
+  B.set<CommField::ApiPciBase>(0);
+  EXPECT_NE(A, B);
+  // Agreement is checked on the masked fields only, and records nothing.
+  CommReadMask Unrelated = CommParams::bit(CommField::ApiTransfer) |
+                           CommParams::bit(CommField::LibPageFault);
+  A.clearReads();
+  EXPECT_TRUE(A.agreesOn(B, Unrelated));
+  EXPECT_FALSE(A.agreesOn(B, Unrelated |
+                                 CommParams::bit(CommField::ApiPciBase)));
+  EXPECT_EQ(A.readMask(), 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -87,7 +123,8 @@ TEST(CommParams, PageableConfigKeys) {
 //===----------------------------------------------------------------------===//
 
 TEST(PciExpress, SynchronousCost) {
-  PciExpressLink Link{CommParams()};
+  CommParams P;
+  PciExpressLink Link{P};
   TransferTiming T = Link.transfer(320512, TransferDir::HostToDevice, 100);
   EXPECT_FALSE(T.Asynchronous);
   EXPECT_EQ(T.CpuBusyCycles, CommParams().pciCopyCycles(320512));
@@ -102,13 +139,15 @@ TEST(PciExpress, SynchronousCost) {
 //===----------------------------------------------------------------------===//
 
 TEST(PciAperture, OneWindowOneApiTr) {
-  PciAperture Aperture{CommParams()};
+  CommParams P;
+  PciAperture Aperture{P};
   TransferTiming T = Aperture.transfer(320512, TransferDir::HostToDevice, 0);
-  EXPECT_EQ(T.CpuBusyCycles, CommParams().ApiTransfer);
+  EXPECT_EQ(T.CpuBusyCycles, CommParams().get<CommField::ApiTransfer>());
 }
 
 TEST(PciAperture, LargeTransfersPayPerWindow) {
-  PciAperture Aperture(CommParams(), /*WindowBytes=*/64 * 1024);
+  CommParams P;
+  PciAperture Aperture(P, /*WindowBytes=*/64 * 1024);
   TransferTiming T =
       Aperture.transfer(320512, TransferDir::HostToDevice, 0);
   EXPECT_EQ(T.CpuBusyCycles, ceilDiv(320512, 64 * 1024) * 7000u);
@@ -135,7 +174,7 @@ TEST(DmaEngine, IssueIsCheapCompletionIsLater) {
   DmaEngine Dma(P, std::make_unique<PciExpressLink>(P));
   TransferTiming T = Dma.transfer(1 << 20, TransferDir::HostToDevice, 0);
   EXPECT_TRUE(T.Asynchronous);
-  EXPECT_EQ(T.CpuBusyCycles, P.AsyncIssueOverhead);
+  EXPECT_EQ(T.CpuBusyCycles, P.get<CommField::AsyncIssueOverhead>());
   EXPECT_GT(T.CompleteCycle, P.pciCopyCycles(1 << 20));
 }
 
@@ -144,9 +183,9 @@ TEST(DmaEngine, WaitChargesOnlyUnhiddenTime) {
   DmaEngine Dma(P, std::make_unique<PciExpressLink>(P));
   TransferTiming T = Dma.transfer(1 << 20, TransferDir::HostToDevice, 0);
   // Waiting immediately pays nearly the whole copy.
-  Cycle FullStall = Dma.waitAll(P.AsyncIssueOverhead);
-  EXPECT_NEAR(double(FullStall),
-              double(T.CompleteCycle - P.AsyncIssueOverhead), 1.0);
+  Cycle Issue = P.get<CommField::AsyncIssueOverhead>();
+  Cycle FullStall = Dma.waitAll(Issue);
+  EXPECT_NEAR(double(FullStall), double(T.CompleteCycle - Issue), 1.0);
   // Waiting after the copy finished costs nothing.
   EXPECT_EQ(Dma.waitAll(T.CompleteCycle + 10), 0u);
 }
@@ -194,7 +233,8 @@ TEST(MemControllerLink, CheaperThanPciE) {
   // read+write per line) still beats PCI-E 2.0 (16GB/s + api-pci base).
   DramSystem Dram;
   MemControllerLink Link(Dram);
-  PciExpressLink Pci{CommParams()};
+  CommParams P;
+  PciExpressLink Pci{P};
   uint64_t Bytes = 320512;
   Cycle McCost =
       Link.transfer(Bytes, TransferDir::HostToDevice, 0).CpuBusyCycles;
@@ -208,7 +248,8 @@ TEST(MemControllerLink, MuchCheaperForSmallTransfers) {
   // path is an order of magnitude cheaper (the Fusion advantage).
   DramSystem Dram;
   MemControllerLink Link(Dram);
-  PciExpressLink Pci{CommParams()};
+  CommParams P;
+  PciExpressLink Pci{P};
   uint64_t Bytes = 4096;
   Cycle McCost =
       Link.transfer(Bytes, TransferDir::HostToDevice, 0).CpuBusyCycles;

@@ -217,6 +217,17 @@ TEST(StringUtil, Split) {
   EXPECT_EQ(Parts[3], "c");
 }
 
+TEST(StringUtil, ParseDecimalIsStrict) {
+  EXPECT_EQ(parseDecimal("0"), 0u);
+  EXPECT_EQ(parseDecimal("8192"), 8192u);
+  EXPECT_EQ(parseDecimal("18446744073709551615"), UINT64_MAX);
+  EXPECT_EQ(parseDecimal("4294967295", UINT32_MAX), UINT32_MAX);
+  for (const char *Bad : {"", "abc", "8192x", " 4", "+4", "-1", "0x10",
+                          "18446744073709551616"})
+    EXPECT_FALSE(parseDecimal(Bad).has_value()) << "'" << Bad << "'";
+  EXPECT_FALSE(parseDecimal("4294967296", UINT32_MAX).has_value());
+}
+
 TEST(StringUtil, Trim) {
   EXPECT_EQ(trim("  x  "), "x");
   EXPECT_EQ(trim("\t\r\n"), "");

@@ -1,6 +1,7 @@
 //===- tests/core_test.cpp - core/ unit + integration tests ---------------===//
 
 #include "core/Experiments.h"
+#include "core/ResultStore.h"
 #include "core/SystemDescriptor.h"
 
 #include <gtest/gtest.h>
@@ -129,8 +130,52 @@ TEST(SystemConfig, OverridesApply) {
   Overrides.setInt("comm.api_pci_base", 123);
   Overrides.setInt("cpu.rob_entries", 32);
   SystemConfig C = SystemConfig::forCaseStudy(CaseStudy::CpuGpu, Overrides);
-  EXPECT_EQ(C.Comm.ApiPciBase, 123u);
+  EXPECT_EQ(C.Comm.get<CommField::ApiPciBase>(), 123u);
   EXPECT_EQ(C.Cpu.RobEntries, 32u);
+}
+
+// Sweep dedup (SystemConfig::operator==) and the result store
+// (hashSystemConfig, a hand-listed fingerprint) both stand on config
+// identity: every key applyOverrides reads must move both.
+TEST(SystemConfig, EveryOverrideKeyChangesIdentityAndStoreHash) {
+  // Two distinct values per key. The comm keys come from CommParams.
+  std::vector<std::pair<std::string, std::pair<std::string, std::string>>>
+      Keys = {{"mem.tlb_miss_penalty", {"30", "60"}},
+              {"mem.gpu_page_bytes", {"4096", "65536"}},
+              {"mem.cpu_page_bytes", {"4096", "2097152"}},
+              {"mem.l3_bytes", {"4194304", "8388608"}},
+              {"mem.l2_prefetch", {"false", "true"}},
+              {"mem.noc", {"ring", "mesh"}},
+              {"mem.prefetch_degree", {"2", "4"}},
+              {"cpu.rob_entries", {"168", "64"}},
+              {"cpu.mispredict_penalty", {"15", "20"}},
+              {"gpu.branch_stall", {"8", "4"}},
+              {"sys.ideal_comm", {"false", "true"}},
+              {"sys.first_touch_faults", {"false", "true"}},
+              {"sys.async_copies", {"false", "true"}},
+              {"sys.interleaved_contention", {"false", "true"}},
+              {"sys.cpu_work_fraction", {"0.25", "0.75"}}};
+  for (const char *Key : CommParams::Keys)
+    Keys.push_back({Key, std::string(Key) == "comm.pinned_host"
+                             ? std::pair<std::string, std::string>{"true",
+                                                                   "false"}
+                             : std::pair<std::string, std::string>{"3",
+                                                                   "7"}});
+  for (CaseStudy Study : allCaseStudies())
+    for (const auto &[Key, Values] : Keys) {
+      ConfigStore A, B;
+      A.set(Key, Values.first);
+      B.set(Key, Values.second);
+      SystemConfig CA = SystemConfig::forCaseStudy(Study, A);
+      SystemConfig CB = SystemConfig::forCaseStudy(Study, B);
+      EXPECT_FALSE(CA == CB) << caseStudyName(Study) << " " << Key;
+      EXPECT_NE(hashSystemConfig(CA), hashSystemConfig(CB))
+          << caseStudyName(Study) << " " << Key;
+      // Equal inputs stay equal under both.
+      SystemConfig CA2 = SystemConfig::forCaseStudy(Study, A);
+      EXPECT_TRUE(CA == CA2) << caseStudyName(Study) << " " << Key;
+      EXPECT_EQ(hashSystemConfig(CA), hashSystemConfig(CA2));
+    }
 }
 
 TEST(SystemConfig, AddressSpaceStudySharesCache) {

@@ -9,6 +9,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Experiments.h"
+#include "lowering_matrix_property.h"
 #include "trace/KernelTraceGenerator.h"
 
 #include <gtest/gtest.h>
@@ -234,66 +235,17 @@ TEST(GpuProperty, MoreWarpsNeverSlowerOnIndependentWork) {
 }
 
 //===----------------------------------------------------------------------===//
-// Lowering conservation properties across the whole (kernel x system)
-// matrix.
+// Lowering conservation properties across the (kernel x system) matrix.
+// Matrix mul and dct run the same suite in lowering_large_test.
 //===----------------------------------------------------------------------===//
-
-class LoweringMatrixProperty
-    : public ::testing::TestWithParam<std::tuple<KernelId, CaseStudy>> {};
-
-TEST_P(LoweringMatrixProperty, InstructionBudgetsConserved) {
-  auto [Kernel, Study] = GetParam();
-  if (Kernel == KernelId::MatrixMul || Kernel == KernelId::Dct)
-    GTEST_SKIP() << "large kernels exercised in benches";
-  SystemConfig Config = SystemConfig::forCaseStudy(Study);
-  LoweredProgram Program = lowerKernel(Kernel, Config);
-  const KernelCharacteristics &K = kernelCharacteristics(Kernel);
-  uint64_t Cpu = 0, Gpu = 0, Serial = 0;
-  for (const ExecStep &Step : Program.Steps) {
-    if (Step.Kind == ExecKind::ParallelCompute) {
-      Cpu += Step.CpuTrace.size();
-      Gpu += Step.GpuTrace.size();
-    } else if (Step.Kind == ExecKind::SerialCompute) {
-      Serial += Step.CpuTrace.size();
-    }
-  }
-  EXPECT_EQ(Cpu, K.CpuInsts);
-  EXPECT_EQ(Gpu, K.GpuInsts);
-  EXPECT_EQ(Serial, K.SerialInsts);
-}
-
-TEST_P(LoweringMatrixProperty, RunsAreDeterministic) {
-  auto [Kernel, Study] = GetParam();
-  if (Kernel == KernelId::MatrixMul || Kernel == KernelId::Dct)
-    GTEST_SKIP() << "large kernels exercised in benches";
-  SystemConfig Config = SystemConfig::forCaseStudy(Study);
-  HeteroSimulator Sim(Config);
-  RunResult A = Sim.run(Kernel);
-  RunResult B = Sim.run(Kernel);
-  EXPECT_DOUBLE_EQ(A.Time.totalNs(), B.Time.totalNs());
-  EXPECT_EQ(A.TransferredBytes, B.TransferredBytes);
-  EXPECT_EQ(A.PageFaults, B.PageFaults);
-}
-
-TEST_P(LoweringMatrixProperty, BreakdownComponentsNonNegative) {
-  auto [Kernel, Study] = GetParam();
-  if (Kernel == KernelId::MatrixMul || Kernel == KernelId::Dct)
-    GTEST_SKIP();
-  SystemConfig Config = SystemConfig::forCaseStudy(Study);
-  HeteroSimulator Sim(Config);
-  RunResult R = Sim.run(Kernel);
-  EXPECT_GE(R.Time.SequentialNs, 0.0);
-  EXPECT_GE(R.Time.ParallelNs, 0.0);
-  EXPECT_GE(R.Time.CommunicationNs, -1e-9);
-  EXPECT_GT(R.Time.totalNs(), 0.0);
-}
 
 INSTANTIATE_TEST_SUITE_P(
     Matrix, LoweringMatrixProperty,
-    ::testing::Combine(::testing::ValuesIn(allKernels()),
-                       ::testing::Values(CaseStudy::CpuGpu, CaseStudy::Lrb,
-                                         CaseStudy::Gmac, CaseStudy::Fusion,
-                                         CaseStudy::IdealHetero)));
+    ::testing::Combine(::testing::Values(KernelId::Reduction,
+                                         KernelId::Convolution,
+                                         KernelId::MergeSort,
+                                         KernelId::KMeans),
+                       allCaseStudyValues()));
 
 //===----------------------------------------------------------------------===//
 // Memory-system latency ordering.

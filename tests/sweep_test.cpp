@@ -220,12 +220,18 @@ TEST(SweepRunner, AppendBenchTimingWritesJsonLine) {
 }
 
 TEST(TraceCache, RepeatedSweepHitsCache) {
+  // Three configs that differ only in core timing (ROB size), so each
+  // point simulates (identical points would be copied by the sweep's
+  // dedup and never reach the cache) on the same traces.
   std::vector<SweepPoint> Points;
-  for (int I = 0; I != 3; ++I)
-    Points.emplace_back(SystemConfig::forCaseStudy(CaseStudy::IdealHetero),
-                        KernelId::Reduction);
+  for (unsigned Rob : {168u, 128u, 96u}) {
+    SystemConfig Config = SystemConfig::forCaseStudy(CaseStudy::IdealHetero);
+    Config.Cpu.RobEntries = Rob;
+    Points.emplace_back(Config, KernelId::Reduction);
+  }
   SweepRunner Runner(1);
   Runner.run(Points);
+  EXPECT_EQ(Runner.telemetry().DedupHits, 0u);
   // Identical (kernel, layout, split) points share generated traces, so at
   // most the first point misses.
   EXPECT_GE(Runner.telemetry().CacheHits, 2u * Points.size() - 2);

@@ -232,9 +232,20 @@ ParsedArgs parseArgs(int Argc, char **Argv, int Start) {
     } else if (Arg == "--workload") {
       TakeValue(Args.Workload);
     } else if (Arg == "--elements") {
+      // The HETSIM_JOBS rules: decimal digits only, anything else is a
+      // usage error naming the option.
       std::string Value;
       TakeValue(Value);
-      Args.Elements = std::strtoull(Value.c_str(), nullptr, 0);
+      std::optional<uint64_t> Elements = parseDecimal(Value);
+      if (!Elements) {
+        std::fprintf(stderr,
+                     "error: --elements expects a decimal integer, got "
+                     "'%s'\n",
+                     Value.c_str());
+        Args.Ok = false;
+      } else {
+        Args.Elements = *Elements;
+      }
     } else if (Arg == "--stats") {
       Args.DumpStats = true;
     } else if (Arg == "--metrics") {

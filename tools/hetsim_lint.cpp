@@ -32,14 +32,19 @@
 #include "analysis/LintFuzzer.h"
 #include "analysis/LintJson.h"
 #include "analysis/SweepLinter.h"
+#include "common/StringUtil.h"
 #include "core/ConsistencyValidation.h"
 #include "core/Experiments.h"
 #include "obs/Json.h"
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 using namespace hetsim;
@@ -328,6 +333,21 @@ int main(int Argc, char **Argv) {
       return true;
     };
     std::string Value;
+    // Numeric options follow the HETSIM_JOBS rules: decimal digits only,
+    // in range; anything else is a usage error naming the option.
+    auto TakeNumber = [&](auto &Out, uint64_t Max) {
+      std::optional<uint64_t> Number;
+      if (TakeValue(Value))
+        Number = parseDecimal(Value, Max);
+      if (!Number) {
+        std::fprintf(stderr,
+                     "error: %s expects a decimal integer, got '%s'\n",
+                     Arg.c_str(), Value.c_str());
+        return false;
+      }
+      Out = static_cast<std::remove_reference_t<decltype(Out)>>(*Number);
+      return true;
+    };
     if (Arg == "--all") {
       // The default mode; accepted for explicitness.
     } else if (Arg == "--system") {
@@ -349,22 +369,18 @@ int main(int Argc, char **Argv) {
       if (!TakeValue(JsonPath))
         return usage();
     } else if (Arg == "--jobs") {
-      if (!TakeValue(Value))
+      if (!TakeNumber(Jobs, UINT_MAX))
         return usage();
-      Jobs = unsigned(std::strtoul(Value.c_str(), nullptr, 0));
     } else if (Arg == "--max-diagnostics") {
-      if (!TakeValue(Value))
+      if (!TakeNumber(MaxDiagnostics, SIZE_MAX))
         return usage();
-      MaxDiagnostics = std::strtoul(Value.c_str(), nullptr, 0);
     } else if (Arg == "--fuzz") {
-      if (!TakeValue(Value))
+      if (!TakeNumber(FuzzCases, SIZE_MAX))
         return usage();
       Fuzz = true;
-      FuzzCases = std::strtoul(Value.c_str(), nullptr, 0);
     } else if (Arg == "--seed") {
-      if (!TakeValue(Value))
+      if (!TakeNumber(Seed, UINT64_MAX))
         return usage();
-      Seed = std::strtoull(Value.c_str(), nullptr, 0);
     } else if (Arg == "--dot") {
       Dot = true;
     } else if (Arg.find('=') != std::string::npos) {
