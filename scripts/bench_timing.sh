@@ -6,18 +6,14 @@
 #   jobs     parallel worker count for the wide run (default: nproc)
 #   outfile  result path (default: BENCH_sweep.json)
 #
-# Four configurations are measured, all on the default exact memory tier
-# except serial-sampled:
+# Three configurations are measured:
 #   serial-nocache  jobs=1, trace cache off — the pre-sweep-engine baseline
 #   serial          jobs=1, trace cache on
-#   serial-sampled  jobs=1, trace cache on, HETSIM_MEMFAST=sampled — the
-#                   reduced-fidelity memory fast path (DESIGN.md §11);
-#                   must sustain >=10 points/s on the fig5 sweep
 #   parallel        jobs=N, trace cache on
 #
 # Speedups are relative to serial-nocache. On multi-core hosts the
 # parallel run should be >=2x at jobs>=4; on a single core only the
-# trace-cache and sampled-fidelity wins show up.
+# trace-cache win shows up.
 #
 # When the outfile already holds a previous record, each variant's new
 # points_per_s is compared against it: any regression beyond 20% fails
@@ -49,10 +45,9 @@ trap 'rm -rf "$TMPDIR_TIMING"' EXIT
 
 # Runs one configuration; prints "wall_s points points_per_s trace_gen_s
 # simulate_s lock_wait_s cache_hits cache_misses".
-run_once() { # name jobs cache_flag [memfast_tier, default exact]
+run_once() { # name jobs cache_flag
   local log="$TMPDIR_TIMING/$1.json"
-  HETSIM_JOBS="$2" HETSIM_TRACE_CACHE="$3" HETSIM_MEMFAST="${4:-exact}" \
-    HETSIM_TIMING_JSON="$log" \
+  HETSIM_JOBS="$2" HETSIM_TRACE_CACHE="$3" HETSIM_TIMING_JSON="$log" \
     "$BENCH" >/dev/null 2>&1
   # The timing line has a fixed key order; pull fields with sed.
   sed -n '1s/.*"points":\([0-9]*\),"jobs":[0-9]*,"wall_s":\([0-9.]*\),"points_per_s":\([0-9.]*\).*"cache_hits":\([0-9]*\),"cache_misses":\([0-9]*\).*"trace_gen_s":\([0-9.]*\),"simulate_s":\([0-9.]*\),"lock_wait_s":\([0-9.]*\).*/\2 \1 \3 \6 \7 \8 \4 \5/p' "$log"
@@ -71,13 +66,6 @@ echo "   ${SER_WALL}s for ${SER_POINTS} points (${SER_PPS} points/s," \
      "gen ${SER_GEN}s / sim ${SER_SIM}s / wait ${SER_LOCK}s," \
      "cache ${SER_HITS}h/${SER_MISSES}m)"
 
-echo "== serial-sampled (jobs=1, trace cache on, HETSIM_MEMFAST=sampled) =="
-read -r SAMP_WALL SAMP_POINTS SAMP_PPS SAMP_GEN SAMP_SIM SAMP_LOCK \
-     SAMP_HITS SAMP_MISSES <<<"$(run_once serial-sampled 1 1 sampled)"
-echo "   ${SAMP_WALL}s for ${SAMP_POINTS} points (${SAMP_PPS} points/s," \
-     "gen ${SAMP_GEN}s / sim ${SAMP_SIM}s / wait ${SAMP_LOCK}s," \
-     "cache ${SAMP_HITS}h/${SAMP_MISSES}m)"
-
 echo "== parallel (jobs=$JOBS, trace cache on) =="
 read -r PAR_WALL PAR_POINTS PAR_PPS PAR_GEN PAR_SIM PAR_LOCK \
      PAR_HITS PAR_MISSES <<<"$(run_once parallel "$JOBS" 1)"
@@ -86,17 +74,7 @@ echo "   ${PAR_WALL}s for ${PAR_POINTS} points (${PAR_PPS} points/s," \
      "cache ${PAR_HITS}h/${PAR_MISSES}m)"
 
 SER_SPEEDUP=$(awk "BEGIN{printf \"%.2f\", $BASE_WALL/$SER_WALL}")
-SAMP_SPEEDUP=$(awk "BEGIN{printf \"%.2f\", $BASE_WALL/$SAMP_WALL}")
 PAR_SPEEDUP=$(awk "BEGIN{printf \"%.2f\", $BASE_WALL/$PAR_WALL}")
-
-# The sampled fast path exists to make serial sweeps interactive; hold it
-# to the documented floor so a fidelity "optimisation" that stops paying
-# off gets caught here rather than in a user's terminal.
-if awk "BEGIN{exit !($SAMP_PPS < 10)}"; then
-  echo "error: serial-sampled ${SAMP_PPS} points/s is below the 10" \
-       "points/s floor for HETSIM_MEMFAST=sampled" >&2
-  exit 1
-fi
 
 # Looks up a variant's points_per_s in a previous record.
 old_pps() { # variant
@@ -112,7 +90,6 @@ cat > "$CANDIDATE" <<EOF
   "runs": [
     {"variant": "serial-nocache", "jobs": 1, "points": $BASE_POINTS, "wall_s": $BASE_WALL, "points_per_s": $BASE_PPS, "speedup": 1.00, "trace_gen_s": $BASE_GEN, "simulate_s": $BASE_SIM, "lock_wait_s": $BASE_LOCK, "cache_hits": $BASE_HITS, "cache_misses": $BASE_MISSES},
     {"variant": "serial", "jobs": 1, "points": $SER_POINTS, "wall_s": $SER_WALL, "points_per_s": $SER_PPS, "speedup": $SER_SPEEDUP, "trace_gen_s": $SER_GEN, "simulate_s": $SER_SIM, "lock_wait_s": $SER_LOCK, "cache_hits": $SER_HITS, "cache_misses": $SER_MISSES},
-    {"variant": "serial-sampled", "jobs": 1, "memfast": "sampled", "points": $SAMP_POINTS, "wall_s": $SAMP_WALL, "points_per_s": $SAMP_PPS, "speedup": $SAMP_SPEEDUP, "trace_gen_s": $SAMP_GEN, "simulate_s": $SAMP_SIM, "lock_wait_s": $SAMP_LOCK, "cache_hits": $SAMP_HITS, "cache_misses": $SAMP_MISSES},
     {"variant": "parallel", "jobs": $JOBS, "points": $PAR_POINTS, "wall_s": $PAR_WALL, "points_per_s": $PAR_PPS, "speedup": $PAR_SPEEDUP, "trace_gen_s": $PAR_GEN, "simulate_s": $PAR_SIM, "lock_wait_s": $PAR_LOCK, "cache_hits": $PAR_HITS, "cache_misses": $PAR_MISSES}
   ]
 }
@@ -121,7 +98,7 @@ EOF
 REGRESSED=0
 if [ -f "$OUTFILE" ]; then
   for spec in "serial-nocache $BASE_PPS" "serial $SER_PPS" \
-              "serial-sampled $SAMP_PPS" "parallel $PAR_PPS"; do
+              "parallel $PAR_PPS"; do
     read -r variant new_pps <<<"$spec"
     prev_pps="$(old_pps "$variant")"
     [ -n "$prev_pps" ] || continue

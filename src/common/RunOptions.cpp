@@ -8,20 +8,9 @@
 #include <climits>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 
 using namespace hetsim;
-
-std::optional<MemFastMode> hetsim::parseMemFastMode(const char *Value) {
-  if (!Value || !*Value || std::strcmp(Value, "exact") == 0)
-    return MemFastMode::Exact;
-  if (std::strcmp(Value, "sampled") == 0)
-    return MemFastMode::Sampled;
-  return std::nullopt;
-}
-
-const char *hetsim::memFastModeName(MemFastMode Mode) {
-  return Mode == MemFastMode::Sampled ? "sampled" : "exact";
-}
 
 namespace {
 
@@ -50,11 +39,6 @@ RunOptions RunOptions::parse(
     fatalError("HETSIM_JOBS must be unset, 0 (hardware threads) or a "
                "positive integer");
   Opts.Jobs = *Jobs;
-
-  std::optional<MemFastMode> Tier = parseMemFastMode(Lookup("HETSIM_MEMFAST"));
-  if (!Tier)
-    fatalError("HETSIM_MEMFAST must be unset, 'exact' or 'sampled'");
-  Opts.Tier = *Tier;
 
   const char *Cache = Lookup("HETSIM_TRACE_CACHE");
   if (Cache && *Cache && std::strcmp(Cache, "1") != 0 &&

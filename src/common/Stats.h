@@ -21,7 +21,7 @@ namespace hetsim {
 /// queue depths). Bucket B counts samples whose value has B significant
 /// bits (bucket 0 holds zeros), so 33 buckets cover the full 32-bit
 /// latency range with O(1) insertion and no allocation. Obtained once
-/// through StatRegistry::histogramRef() and sampled through the returned
+/// through StatRegistry::histogramRef() and fed through the returned
 /// reference, it adds no per-sample string hashing on hot paths.
 class StatHistogram {
 public:

@@ -35,8 +35,6 @@ void accumulate(SegmentResult &Total, const SegmentResult &Part) {
   Total.StoreForwards += Part.StoreForwards;
   Total.PageFaults += Part.PageFaults;
   Total.PageFaultCycles += Part.PageFaultCycles;
-  Total.SampledRecords += Part.SampledRecords;
-  Total.SampledErrorCycles += Part.SampledErrorCycles;
 }
 } // namespace
 
@@ -54,7 +52,7 @@ MemorySystem &HeteroSimulator::memory() {
 }
 
 void HeteroSimulator::buildMachine() {
-  Mem = std::make_unique<MemorySystem>(Config.Hier, Opts.Tier);
+  Mem = std::make_unique<MemorySystem>(Config.Hier);
   Cpu = std::make_unique<CpuCore>(Config.Cpu, *Mem);
   Gpu = std::make_unique<GpuCore>(Config.Gpu, *Mem);
   Ownership.clear();
@@ -452,13 +450,6 @@ MetricsSnapshot HeteroSimulator::collectMetrics(const RunResult &Result) {
   M.add("run.gpu.insts", double(Result.GpuTotal.Insts));
   M.add("run.gpu.mem_accesses", double(Result.GpuTotal.MemAccesses));
   M.add("run.gpu.mem_latency_max", double(Result.GpuTotal.MemLatencyMax));
-
-  // Sampled memory tier accounting (zero on the exact tier):
-  // how much of the stream was extrapolated and the reported error bound.
-  M.add("run.sampled_records", double(Result.CpuTotal.SampledRecords +
-                                      Result.GpuTotal.SampledRecords));
-  M.add("run.sampled_error_cycles", Result.CpuTotal.SampledErrorCycles +
-                                        Result.GpuTotal.SampledErrorCycles);
 
   M.add("run.trace_events", double(Trace.size()));
   M.add("run.trace_events_dropped", double(Trace.dropped()));

@@ -62,8 +62,7 @@ struct RunResult {
 
 /// One simulated system instance. Construct once per configuration; each
 /// run() builds a fresh memory system so runs are independent. \p Opts
-/// supplies the fidelity tier, the trace source and the trace-event
-/// directory.
+/// supplies the trace source and the trace-event directory.
 class HeteroSimulator {
 public:
   explicit HeteroSimulator(const SystemConfig &Config, RunOptions Opts = {});

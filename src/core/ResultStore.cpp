@@ -105,6 +105,10 @@ void foldTrace(Fingerprint &F, const SharedTrace &Trace) {
 // Entry serialization
 //===----------------------------------------------------------------------===//
 
+/// First line of every entry; bumped with the entry layout, so an entry
+/// of any other layout reads as a miss.
+constexpr const char *ResultMagic = "hetsim-result-v3";
+
 void writeSegment(std::FILE *File, const char *Tag, const SegmentResult &S) {
   std::fprintf(File,
                "%s %" PRIu64 " %" PRIu64 " %" PRIu64 " %" PRIu64 " %" PRIu64
@@ -248,22 +252,19 @@ uint64_t hetsim::hashLoweredTraces(const LoweredProgram &Program) {
 ResultStore::ResultStore(std::string Dir) : Root(std::move(Dir)) {}
 
 ResultStore::Key ResultStore::keyFor(const SystemConfig &Config,
-                                     const LoweredProgram &Program,
-                                     MemFastMode Tier) {
+                                     const LoweredProgram &Program) {
   Key K;
   K.ConfigHash = hashSystemConfig(Config);
   K.TraceHash = hashLoweredTraces(Program);
   K.CodeVersion = ResultStoreCodeVersion;
-  K.Tier = Tier;
   return K;
 }
 
 std::string ResultStore::entryPath(const Key &K) const {
   char Name[96];
   std::snprintf(Name, sizeof(Name),
-                "%016" PRIx64 "-%016" PRIx64 "-%" PRIu64 "-%s.result",
-                K.ConfigHash, K.TraceHash, K.CodeVersion,
-                memFastModeName(K.Tier));
+                "%016" PRIx64 "-%016" PRIx64 "-%" PRIu64 ".result",
+                K.ConfigHash, K.TraceHash, K.CodeVersion);
   return Root + "/" + Name;
 }
 
@@ -279,16 +280,14 @@ bool ResultStore::load(const Key &K, Entry &Out) const {
   bool Ok = [&] {
     char Magic[32];
     if (std::fscanf(File, "%31s", Magic) != 1 ||
-        std::strcmp(Magic, "hetsim-result-v2") != 0)
+        std::strcmp(Magic, ResultMagic) != 0)
       return false;
     uint64_t Cfg = 0, Trace = 0, Version = 0;
     char Tag[16];
-    char Tier[16];
-    if (std::fscanf(File, "%15s %" SCNx64 " %" SCNx64 " %" SCNu64 " %15s",
-                    Tag, &Cfg, &Trace, &Version, Tier) != 5 ||
+    if (std::fscanf(File, "%15s %" SCNx64 " %" SCNx64 " %" SCNu64, Tag, &Cfg,
+                    &Trace, &Version) != 4 ||
         std::strcmp(Tag, "key") != 0 || Cfg != K.ConfigHash ||
-        Trace != K.TraceHash || Version != K.CodeVersion ||
-        std::strcmp(Tier, memFastModeName(K.Tier)) != 0)
+        Trace != K.TraceHash || Version != K.CodeVersion)
       return false;
 
     RunResult &R = Out.Result;
@@ -369,10 +368,9 @@ bool ResultStore::save(const Key &K, const Entry &E) const {
   }
 
   const RunResult &R = E.Result;
-  std::fprintf(File, "hetsim-result-v2\n");
-  std::fprintf(File, "key %016" PRIx64 " %016" PRIx64 " %" PRIu64 " %s\n",
-               K.ConfigHash, K.TraceHash, K.CodeVersion,
-               memFastModeName(K.Tier));
+  std::fprintf(File, "%s\n", ResultMagic);
+  std::fprintf(File, "key %016" PRIx64 " %016" PRIx64 " %" PRIu64 "\n",
+               K.ConfigHash, K.TraceHash, K.CodeVersion);
   // Hex-float (%a) round-trips doubles exactly: a loaded entry is
   // bit-identical to the freshly simulated one.
   std::fprintf(File, "time %a %a %a\n", R.Time.SequentialNs,

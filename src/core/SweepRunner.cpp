@@ -158,7 +158,7 @@ SweepRunner::run(const std::vector<SweepPoint> &Points) {
       ResultStore::Entry Stored;
       if (Store.enabled()) {
         Program = lowerKernel(Point.Kernel, Config, Opts);
-        Key = ResultStore::keyFor(Config, *Program, Opts.Tier);
+        Key = ResultStore::keyFor(Config, *Program);
       }
       if (Key && Store.load(*Key, Stored)) {
         Results[I] = std::move(Stored.Result);

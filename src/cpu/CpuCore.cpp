@@ -4,6 +4,7 @@
 
 #include "common/FlatMap.h"
 #include "cpu/BlockDriver.h"
+#include "memory/MemorySystem.h"
 
 #include <algorithm>
 #include <cassert>
@@ -189,19 +190,6 @@ struct CpuPipeline {
       step(Records[Index]);
   }
 
-  Cycle clock() const { return LastRetire; }
-
-  void translate(Cycle Adv, uint64_t SkippedRecords) {
-    FetchCycle += Adv;
-    IssueBusyCycle += Adv;
-    LastRetire += Adv;
-    for (Cycle &C : RegReady)
-      C += Adv;
-    for (Cycle &C : RobRetire)
-      C += Adv;
-    RobHead += SkippedRecords;
-  }
-
   Cycle finish(Cycle StartCycle) const {
     assert(LastRetire >= StartCycle && "time went backwards");
     return LastRetire - StartCycle;
@@ -230,5 +218,5 @@ SegmentResult CpuCore::run(const TraceRecord *Records, size_t Count,
 SegmentResult CpuCore::run(const SharedTrace &Trace, Cycle StartCycle) {
   SegmentResult Result;
   CpuPipeline Pipe(Config, Mem, Predictor, ICache, Result, StartCycle);
-  return runTrace(Pipe, Result, Trace, StartCycle, Mem);
+  return runTrace(Pipe, Result, Trace, StartCycle);
 }

@@ -59,13 +59,6 @@ struct SegmentResult {
   uint64_t PageFaults = 0;
   Cycle PageFaultCycles = 0;
 
-  /// Sampled memory tier only (never goldens):
-  /// records advanced in closed form between measured windows, and the
-  /// reported bound on the Cycles error that introduced (the skipped
-  /// records' spread between the best and worst measured rates).
-  uint64_t SampledRecords = 0;
-  double SampledErrorCycles = 0;
-
   bool operator==(const SegmentResult &) const = default;
 
   double ipc() const {
@@ -111,8 +104,7 @@ public:
   /// Runs a shared trace handle through the block driver
   /// (cpu/BlockDriver.h): block-backed handles expand window by window
   /// (DESIGN.md §8), with results identical to running the materialized
-  /// trace through the reference loop, or are window-sampled on the
-  /// sampled tier (DESIGN.md §11).
+  /// trace through the reference loop.
   SegmentResult run(const SharedTrace &Trace, Cycle StartCycle);
 
   const CpuConfig &config() const { return Config; }

@@ -5,6 +5,7 @@
 #include "common/Error.h"
 #include "cpu/BlockDriver.h"
 #include "gpu/Coalescer.h"
+#include "memory/MemorySystem.h"
 
 #include <algorithm>
 #include <cassert>
@@ -135,23 +136,6 @@ struct GpuPipeline {
       step(Records[I]);
   }
 
-  Cycle clock() const { return LastComplete; }
-
-  /// Translates the whole warp array; skipped records keep the
-  /// record-to-warp striping aligned via Index.
-  void translate(Cycle Adv, uint64_t SkippedRecords) {
-    LastComplete += Adv;
-    for (WarpState &Warp : Warps) {
-      Warp.NextIssue += Adv;
-      Warp.LastComplete += Adv;
-      for (Cycle &C : Warp.RegReady)
-        C += Adv;
-      for (Cycle &C : Warp.Pending)
-        C += Adv;
-    }
-    Index += SkippedRecords;
-  }
-
   /// The critical path, floored by issue bandwidth.
   Cycle finish(Cycle StartCycle) const {
     assert(LastComplete >= StartCycle && "time went backwards");
@@ -182,5 +166,5 @@ SegmentResult GpuCore::run(const TraceRecord *Records, size_t Count,
 SegmentResult GpuCore::run(const SharedTrace &Trace, Cycle StartCycle) {
   SegmentResult Result;
   GpuPipeline Pipe(Config, Mem, Result, StartCycle);
-  return runTrace(Pipe, Result, Trace, StartCycle, Mem);
+  return runTrace(Pipe, Result, Trace, StartCycle);
 }

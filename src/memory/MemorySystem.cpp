@@ -11,7 +11,7 @@
 
 using namespace hetsim;
 
-MemorySystem::MemorySystem(const MemHierConfig &Cfg, MemFastMode Tier)
+MemorySystem::MemorySystem(const MemHierConfig &Cfg)
     : Config(Cfg), CpuMshr(Cfg.CpuMshrs), GpuMshr(Cfg.GpuMshrs),
       CpuTlb(Cfg.CpuTlbEntries, Cfg.TlbWays, Cfg.CpuPageBytes),
       GpuTlb(Cfg.GpuTlbEntries, Cfg.TlbWays, Cfg.GpuPageBytes),
@@ -57,12 +57,10 @@ MemorySystem::MemorySystem(const MemHierConfig &Cfg, MemFastMode Tier)
   MemPrefetchFills = &Stats.counterRef("mem.prefetch_fills");
   MemMshrMerges = &Stats.counterRef("mem.mshr_merges");
 
-  // Register the sampled-coverage counters up front so the
-  // hetsim-metrics-v1 key set is identical across tiers.
-  MFMode = Tier;
-  MFCounters.SampledWindows = &Stats.counterRef("memfast.sampled_windows");
-  MFCounters.SampledRecords = &Stats.counterRef("memfast.sampled_records");
-  Stats.setCounter("memfast.mode", uint64_t(MFMode));
+  // There is one (exact) fidelity, so memfast.mode is always 1. It stays
+  // in the metrics because consumers such as perfbench reject any point
+  // whose memfast.mode is not 1.
+  Stats.setCounter("memfast.mode", 1);
 }
 
 void MemorySystem::drainBackground(Cycle NowCpu) {

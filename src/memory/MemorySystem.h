@@ -22,7 +22,6 @@
 #include "cache/Mshr.h"
 #include "cache/Scratchpad.h"
 #include "cache/StreamPrefetcher.h"
-#include "common/RunOptions.h"
 #include "common/Stats.h"
 #include "dram/Dram.h"
 #include "interconnect/MeshNoc.h"
@@ -119,9 +118,8 @@ struct SharedSpacePolicy {
 /// The assembled hierarchy.
 class MemorySystem {
 public:
-  /// A hierarchy of \p Config simulated on fidelity tier \p Tier.
-  explicit MemorySystem(const MemHierConfig &Config = MemHierConfig(),
-                        MemFastMode Tier = MemFastMode::Exact);
+  /// A hierarchy of \p Config.
+  explicit MemorySystem(const MemHierConfig &Config = MemHierConfig());
 
   const MemHierConfig &config() const { return Config; }
 
@@ -212,17 +210,6 @@ public:
   const StatRegistry &stats() const { return Stats; }
   StatRegistry &stats() { return Stats; }
 
-  /// The fidelity tier this hierarchy was built for.
-  MemFastMode tier() const { return MFMode; }
-
-  /// Sampled-tier coverage counters, bound to registry entries at
-  /// construction (stable hetsim-metrics-v1 schema: "memfast.*").
-  struct MemFastCounters {
-    uint64_t *SampledWindows = nullptr; ///< memfast.sampled_windows
-    uint64_t *SampledRecords = nullptr; ///< memfast.sampled_records
-  };
-  MemFastCounters &memfastCounters() { return MFCounters; }
-
 private:
   /// Uncore walk beyond the private hierarchy; \p NowCpu in CPU cycles,
   /// returns completion cycle in CPU cycles.
@@ -278,10 +265,6 @@ private:
   uint64_t *MemPrefetchFills = nullptr;
   uint64_t *MemMshrMerges = nullptr;
   std::function<void(const BgDrainEvent &)> DrainHook;
-
-  // Memory fidelity tier (DESIGN.md §11).
-  MemFastMode MFMode = MemFastMode::Exact;
-  MemFastCounters MFCounters;
 };
 
 } // namespace hetsim

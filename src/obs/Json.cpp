@@ -185,8 +185,8 @@ namespace {
 
 class Parser {
 public:
-  Parser(const std::string &Text, std::string &Error)
-      : Text(Text), Error(Error) {}
+  Parser(const std::string &Source, std::string &ErrorOut)
+      : Text(Source), Error(ErrorOut) {}
 
   bool parse(JsonValue &Out) {
     skipSpace();

@@ -42,14 +42,14 @@ static void releaseReuseBytes(uint64_t Bytes) {
     ReuseBytesUsed.fetch_sub(Bytes, std::memory_order_relaxed);
 }
 
-BlockTrace::BlockTrace(KernelId Kernel, const GenRequest &Req,
-                       const KernelDataLayout &Layout)
-    : K(Kind::ComputeGen), Kernel(Kernel), Req(Req), Layout(Layout),
-      Total(Req.InstCount) {}
+BlockTrace::BlockTrace(KernelId Id, const GenRequest &Request,
+                       const KernelDataLayout &Placement)
+    : K(Kind::ComputeGen), Kernel(Id), Req(Request), Layout(Placement),
+      Total(Request.InstCount) {}
 
-BlockTrace::BlockTrace(KernelId Kernel, uint64_t InstCount, uint64_t Seed,
-                       const KernelDataLayout &Layout)
-    : K(Kind::SerialGen), Kernel(Kernel), Layout(Layout), Total(InstCount) {
+BlockTrace::BlockTrace(KernelId Id, uint64_t InstCount, uint64_t Seed,
+                       const KernelDataLayout &Placement)
+    : K(Kind::SerialGen), Kernel(Id), Layout(Placement), Total(InstCount) {
   Req.Pu = PuKind::Cpu;
   Req.InstCount = InstCount;
   Req.Seed = Seed;
@@ -121,8 +121,8 @@ void BlockTrace::abortTee() const {
   TeeState.store(0, std::memory_order_release);
 }
 
-BlockExpander::BlockExpander(const BlockTrace &Block)
-    : Block(Block), Remaining(Block.totalRecords()) {
+BlockExpander::BlockExpander(const BlockTrace &Source)
+    : Block(Source), Remaining(Source.totalRecords()) {
   // A ready materialized stream beats regeneration: serve spans out of it
   // and skip the generator entirely.
   if (Block.expansionReuseReady()) {
@@ -237,35 +237,4 @@ BlockExpander::Span BlockExpander::nextSpan(TraceBuffer &Window,
   }
   uint64_t Emitted = next(Window, Target);
   return {Window.records().data(), Emitted};
-}
-
-BlockExpander::Span BlockExpander::nextWindow(TraceBuffer &Window,
-                                              size_t Target) {
-  if (Remaining == 0)
-    return {};
-  if (FromMat) {
-    const TraceBuffer &M = Block.materialized();
-    uint64_t Run = std::min<uint64_t>(Remaining, Target);
-    Span Out{M.records().data() + MatPos, Run};
-    MatPos += Run;
-    Remaining -= Run;
-    return Out;
-  }
-  uint64_t Emitted = next(Window, Target);
-  return {Window.records().data(), Emitted};
-}
-
-uint64_t BlockExpander::skip(TraceBuffer &Scratch, size_t Target) {
-  if (Remaining == 0)
-    return 0;
-  if (FromMat) {
-    uint64_t Run = std::min<uint64_t>(Remaining, Target);
-    MatPos += Run;
-    Remaining -= Run;
-    return Run;
-  }
-  // No reuse buffer: the records must still be produced so the generator
-  // state (cursors, RNG) and any in-flight tee advance exactly; only the
-  // core simulation is skipped.
-  return next(Scratch, Target);
 }

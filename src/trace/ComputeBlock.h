@@ -78,14 +78,15 @@ public:
     SerialGen,  ///< generateSerial(InstCount, Layout, Seed).
   };
 
-  /// A compute segment: the stream generateCompute(\p Req, \p Layout)
-  /// would produce for \p Kernel.
-  BlockTrace(KernelId Kernel, const GenRequest &Req,
-             const KernelDataLayout &Layout);
+  /// A compute segment: the stream generateCompute(\p Request,
+  /// \p Placement) would produce for kernel \p Id.
+  BlockTrace(KernelId Id, const GenRequest &Request,
+             const KernelDataLayout &Placement);
 
-  /// A serial segment: generateSerial(\p InstCount, \p Layout, \p Seed).
-  BlockTrace(KernelId Kernel, uint64_t InstCount, uint64_t Seed,
-             const KernelDataLayout &Layout);
+  /// A serial segment: generateSerial(\p InstCount, \p Placement,
+  /// \p Seed) of kernel \p Id.
+  BlockTrace(KernelId Id, uint64_t InstCount, uint64_t Seed,
+             const KernelDataLayout &Placement);
 
   Kind kind() const { return K; }
   uint64_t totalRecords() const { return Total; }
@@ -153,7 +154,7 @@ private:
 /// record.
 class BlockExpander {
 public:
-  explicit BlockExpander(const BlockTrace &Block);
+  explicit BlockExpander(const BlockTrace &Source);
   ~BlockExpander();
 
   bool done() const { return Remaining == 0; }
@@ -175,17 +176,6 @@ public:
   /// available: serves the entire remainder as one span into the shared
   /// buffer without touching \p Window or the generator.
   Span nextSpan(TraceBuffer &Window, size_t Target = ComputeWindowRecords);
-
-  /// Sampled-mode stepping (DESIGN.md §11): like nextSpan, but bounded to
-  /// ~\p Target records even on the zero-copy reuse path, so the caller
-  /// can window-sample the stream.
-  Span nextWindow(TraceBuffer &Window, size_t Target = ComputeWindowRecords);
-
-  /// Advances the stream by ~\p Target records without handing them to a
-  /// core. Free on the reuse path (a cursor bump); otherwise the records
-  /// are generated into \p Scratch — keeping generator state and any
-  /// in-flight tee exact — and discarded. Returns the records skipped.
-  uint64_t skip(TraceBuffer &Scratch, size_t Target = ComputeWindowRecords);
 
 private:
   /// Appends a generated window to the in-flight tee buffer and installs

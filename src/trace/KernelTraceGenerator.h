@@ -148,16 +148,6 @@ struct GenState {
   uint64_t Iter = 0;
 };
 
-/// Coarse structural facts a generator announces about the record stream
-/// it emits. Approximate execution modes (the sampled memory tier,
-/// DESIGN.md §11) gate on these instead of probing the stream.
-struct StreamStructure {
-  /// The stream is a long loop with a fixed per-iteration record shape
-  /// and steady address strides, so windowed time-sampling extrapolates
-  /// meaningfully between measured windows.
-  bool SteadyStride = false;
-};
-
 /// Base class for the six kernel generators.
 class KernelTraceGenerator {
 public:
@@ -165,10 +155,6 @@ public:
 
   /// The kernel this generator models.
   virtual KernelId kernel() const = 0;
-
-  /// Structural facts about the emitted stream (conservative default:
-  /// nothing is promised).
-  virtual StreamStructure streamStructure() const { return {}; }
 
   /// Produces exactly Req.InstCount records of compute for Req.Pu.
   TraceBuffer generateCompute(const GenRequest &Req,
@@ -236,7 +222,6 @@ protected:
 class ReductionGenerator final : public KernelTraceGenerator {
 public:
   KernelId kernel() const override { return KernelId::Reduction; }
-  StreamStructure streamStructure() const override { return {true}; }
 
 protected:
   void setUpCursors(GenState &S, const KernelDataLayout &L,
@@ -248,7 +233,6 @@ protected:
 class MatrixMulGenerator final : public KernelTraceGenerator {
 public:
   KernelId kernel() const override { return KernelId::MatrixMul; }
-  StreamStructure streamStructure() const override { return {true}; }
 
 protected:
   void setUpCursors(GenState &S, const KernelDataLayout &L,
@@ -260,7 +244,6 @@ protected:
 class ConvolutionGenerator final : public KernelTraceGenerator {
 public:
   KernelId kernel() const override { return KernelId::Convolution; }
-  StreamStructure streamStructure() const override { return {true}; }
 
 protected:
   void setUpCursors(GenState &S, const KernelDataLayout &L,
@@ -272,7 +255,6 @@ protected:
 class DctGenerator final : public KernelTraceGenerator {
 public:
   KernelId kernel() const override { return KernelId::Dct; }
-  StreamStructure streamStructure() const override { return {true}; }
 
 protected:
   void setUpCursors(GenState &S, const KernelDataLayout &L,
@@ -284,7 +266,6 @@ protected:
 class MergeSortGenerator final : public KernelTraceGenerator {
 public:
   KernelId kernel() const override { return KernelId::MergeSort; }
-  StreamStructure streamStructure() const override { return {true}; }
 
 protected:
   void setUpCursors(GenState &S, const KernelDataLayout &L,
@@ -296,7 +277,6 @@ protected:
 class KMeansGenerator final : public KernelTraceGenerator {
 public:
   KernelId kernel() const override { return KernelId::KMeans; }
-  StreamStructure streamStructure() const override { return {true}; }
 
 protected:
   void setUpCursors(GenState &S, const KernelDataLayout &L,

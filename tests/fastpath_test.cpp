@@ -5,10 +5,7 @@
 /// and windowed expansion must produce results byte-identical to the fully
 /// materialized per-record reference path. These tests run both paths
 /// (RunOptions::MaterializedReference selects the reference) and assert
-/// identical RunResults and metrics documents. The sampled memory tier,
-/// which is approximate by design, is checked against the exact tier for
-/// exact instruction counts and a loose cycle bound, and pinned
-/// bit-for-bit to recorded results.
+/// identical RunResults and metrics documents.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,8 +37,6 @@ void expectSegmentEq(const SegmentResult &A, const SegmentResult &B,
   EXPECT_EQ(A.StoreForwards, B.StoreForwards) << What;
   EXPECT_EQ(A.PageFaults, B.PageFaults) << What;
   EXPECT_EQ(A.PageFaultCycles, B.PageFaultCycles) << What;
-  EXPECT_EQ(A.SampledRecords, B.SampledRecords) << What;
-  EXPECT_EQ(A.SampledErrorCycles, B.SampledErrorCycles) << What;
 }
 
 void expectRunResultEq(const RunResult &A, const RunResult &B,
@@ -132,106 +127,4 @@ TEST(FastPathExpansion, WindowsConcatenateToMaterializedStream) {
     }
   }
   EXPECT_EQ(Pos, Reference.size());
-}
-
-//===----------------------------------------------------------------------===//
-// Sampled memory tier (DESIGN.md §11).
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Runs (Study, Kernel) on the block fast path on tier \p Tier, from a
-/// cold trace cache.
-std::pair<RunResult, MetricsSnapshot>
-runOneMemFast(CaseStudy Study, KernelId Kernel, MemFastMode Tier) {
-  RunOptions Opts;
-  Opts.Tier = Tier;
-  return runOne(Study, Kernel, Opts);
-}
-
-} // namespace
-
-TEST(MemFastModes, SampledModeExtrapolatesWithBoundedError) {
-  FastPathGuard Guard;
-  auto [Ref, RefMetrics] = runOneMemFast(CaseStudy::CpuGpu,
-                                         KernelId::Reduction,
-                                         MemFastMode::Exact);
-  auto [Samp, SampMetrics] = runOneMemFast(CaseStudy::CpuGpu,
-                                           KernelId::Reduction,
-                                           MemFastMode::Sampled);
-  // Sampling skips simulation, not records: instruction totals are exact.
-  EXPECT_EQ(Ref.CpuTotal.Insts, Samp.CpuTotal.Insts);
-  EXPECT_EQ(Ref.GpuTotal.Insts, Samp.GpuTotal.Insts);
-  EXPECT_GT(SampMetrics.get("run.sampled_records"), 0.0);
-  // Loose sanity bound on the estimate; goldens never use this tier.
-  double RefC = double(Ref.CpuTotal.Cycles + Ref.GpuTotal.Cycles);
-  double SampC = double(Samp.CpuTotal.Cycles + Samp.GpuTotal.Cycles);
-  EXPECT_GT(SampC, 0.5 * RefC);
-  EXPECT_LT(SampC, 2.0 * RefC);
-}
-
-namespace {
-
-SegmentResult segment(Cycle Cycles, uint64_t Insts, uint64_t MemAccesses,
-                      uint64_t MemLatencySum, Cycle MemLatencyMax,
-                      uint64_t BranchMispredicts, uint64_t ICacheMisses,
-                      uint64_t StoreForwards, uint64_t SampledRecords,
-                      double SampledErrorCycles) {
-  SegmentResult S;
-  S.Cycles = Cycles;
-  S.Insts = Insts;
-  S.MemAccesses = MemAccesses;
-  S.MemLatencySum = MemLatencySum;
-  S.MemLatencyMax = MemLatencyMax;
-  S.BranchMispredicts = BranchMispredicts;
-  S.ICacheMisses = ICacheMisses;
-  S.StoreForwards = StoreForwards;
-  S.SampledRecords = SampledRecords;
-  S.SampledErrorCycles = SampledErrorCycles;
-  return S; // No page faults on CPU+GPU.
-}
-
-} // namespace
-
-// The sampled tier's whole schedule (warm-up, re-warm, measure, skip,
-// translate, extrapolate) pinned bit-for-bit: both cores' aggregated
-// SegmentResults on CPU+GPU, recorded from the per-core sampled loops
-// this driver replaced. Includes the reduction point whose error bound
-// reads 0 because only one window rate was ever measured.
-TEST(MemFastModes, SampledTierPinnedToRecordedResults) {
-  FastPathGuard Guard;
-  struct Pin {
-    KernelId Kernel;
-    SegmentResult Cpu, Gpu;
-    double SampledWindows;
-    double TotalNs;
-  };
-  const Pin Pins[] = {
-      {KernelId::Reduction,
-       segment(377238, 170002, 50627, 580055, 281, 0, 2, 0, 129032, 0x0p+0),
-       segment(70001, 70001, 35000, 1833272, 244, 11666, 0, 0, 49511,
-               0x0p+0),
-       3, 0x1.324f249249249p+17},
-      {KernelId::Convolution,
-       segment(739567, 513796, 234370, 871162, 281, 0, 2, 0, 435972, 0x0p+0),
-       segment(448259, 448259, 252145, 5315293, 236, 56032, 0, 0, 390915,
-               0x1.6261ap+7),
-       9, 0x1.62070c30c30c4p+18},
-      {KernelId::Dct,
-       segment(5635647, 2621442, 684404, 6114363, 331, 0, 2, 0, 2432753,
-               0x1.72dd96941f326p+23),
-       segment(2359298, 2359298, 562969, 30409297, 244, 235929, 0, 0,
-               2199398, 0x1.d777166a6566ap+18),
-       38, 0x1.a4a42c30c30c3p+20},
-  };
-  for (const Pin &P : Pins) {
-    auto [R, M] =
-        runOneMemFast(CaseStudy::CpuGpu, P.Kernel, MemFastMode::Sampled);
-    std::string What = kernelName(P.Kernel);
-    expectSegmentEq(R.CpuTotal, P.Cpu, What + " cpu");
-    expectSegmentEq(R.GpuTotal, P.Gpu, What + " gpu");
-    EXPECT_EQ(M.get("memfast.sampled_windows"), P.SampledWindows) << What;
-    EXPECT_EQ(M.get("memfast.mode"), 3.0) << What;
-    EXPECT_EQ(R.Time.totalNs(), P.TotalNs) << What;
-  }
 }

@@ -15,6 +15,7 @@
 
 #include "gtest/gtest.h"
 
+#include <cinttypes>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -23,17 +24,10 @@ using namespace hetsim;
 
 namespace {
 
-RunOptions storeAt(const std::string &Dir,
-                   MemFastMode Tier = MemFastMode::Exact) {
+RunOptions storeAt(const std::string &Dir) {
   RunOptions Opts;
   Opts.ResultStoreDir = Dir;
-  Opts.Tier = Tier;
   return Opts;
-}
-
-ResultStore::Key exactKey(const SystemConfig &Config,
-                          const LoweredProgram &Program) {
-  return ResultStore::keyFor(Config, Program, MemFastMode::Exact);
 }
 
 std::string freshDir(const std::string &Name) {
@@ -89,7 +83,7 @@ TEST(ResultStore, RoundTripIsExact) {
 
   ResultStore Store(freshDir("result_store_roundtrip"));
   ASSERT_TRUE(Store.enabled());
-  ResultStore::Key K = exactKey(Config, Program);
+  ResultStore::Key K = ResultStore::keyFor(Config, Program);
 
   ResultStore::Entry Loaded;
   EXPECT_FALSE(Store.load(K, Loaded)) << "cold store must miss";
@@ -114,16 +108,16 @@ TEST(ResultStore, KeysSeparateConfigsAndKernels) {
   LoweredProgram FusionRed = lowerKernel(KernelId::Reduction, Fusion);
   LoweredProgram GmacSort = lowerKernel(KernelId::MergeSort, Gmac);
 
-  ResultStore::Key A = exactKey(Gmac, GmacRed);
-  ResultStore::Key B = exactKey(Fusion, FusionRed);
-  ResultStore::Key C = exactKey(Gmac, GmacSort);
+  ResultStore::Key A = ResultStore::keyFor(Gmac, GmacRed);
+  ResultStore::Key B = ResultStore::keyFor(Fusion, FusionRed);
+  ResultStore::Key C = ResultStore::keyFor(Gmac, GmacSort);
   EXPECT_NE(A.ConfigHash, B.ConfigHash);
   EXPECT_NE(A.TraceHash, C.TraceHash);
   EXPECT_EQ(A.CodeVersion, ResultStoreCodeVersion);
 
   // Keys are pure content functions: rederiving yields the same key.
   ResultStore::Key A2 =
-      exactKey(Gmac, lowerKernel(KernelId::Reduction, Gmac));
+      ResultStore::keyFor(Gmac, lowerKernel(KernelId::Reduction, Gmac));
   EXPECT_EQ(A.ConfigHash, A2.ConfigHash);
   EXPECT_EQ(A.TraceHash, A2.TraceHash);
 }
@@ -141,7 +135,7 @@ TEST(ResultStore, DisabledStoreMissesAndRefusesSaves) {
   EXPECT_FALSE(Store.enabled());
   SystemConfig Config = SystemConfig::forCaseStudy(CaseStudy::CpuGpu);
   LoweredProgram Program = lowerKernel(KernelId::Reduction, Config);
-  ResultStore::Key K = exactKey(Config, Program);
+  ResultStore::Key K = ResultStore::keyFor(Config, Program);
   ResultStore::Entry E;
   EXPECT_FALSE(Store.load(K, E));
   EXPECT_FALSE(Store.save(K, simulateOne(Config, Program)));
@@ -152,7 +146,7 @@ TEST(ResultStore, TruncatedEntryReadsAsMiss) {
   ResultStore Store(Dir);
   SystemConfig Config = SystemConfig::forCaseStudy(CaseStudy::CpuGpu);
   LoweredProgram Program = lowerKernel(KernelId::Reduction, Config);
-  ResultStore::Key K = exactKey(Config, Program);
+  ResultStore::Key K = ResultStore::keyFor(Config, Program);
   ASSERT_TRUE(Store.save(K, simulateOne(Config, Program)));
 
   // Chop every stored entry in half — a killed writer can't produce this
@@ -216,25 +210,71 @@ TEST(ResultStore, InterruptedSweepResumesByteIdentically) {
     expectResultEq(Served[I], Want[I]);
 }
 
-/// An exact run resuming from a store that a sampled run filled must
-/// simulate, not be served the sampled (approximate) numbers.
-TEST(ResultStore, ExactRunIsNeverServedASampledEntry) {
+/// The previous entry layout (hetsim-result-v2) named and keyed entries
+/// by a memory fidelity tier that no longer exists. Such an entry must
+/// read as a miss and its point must be simulated, never served: neither
+/// from the file name that layout used nor when the same file sits at the
+/// current name.
+TEST(ResultStore, PreviousFormatEntryIsAMiss) {
+  SystemConfig Config = SystemConfig::forCaseStudy(CaseStudy::CpuGpu);
   std::vector<SweepPoint> Points;
-  Points.emplace_back(SystemConfig::forCaseStudy(CaseStudy::CpuGpu),
-                      KernelId::Reduction);
+  Points.emplace_back(Config, KernelId::Reduction);
   SweepRunner Reference(1);
-  std::vector<RunResult> Exact = Reference.run(Points);
+  std::vector<RunResult> Want = Reference.run(Points);
 
-  std::string Dir = freshDir("result_store_tier");
-  SweepRunner Sampled(1, storeAt(Dir, MemFastMode::Sampled));
-  std::vector<RunResult> Approx = Sampled.run(Points);
-  ASSERT_NE(Approx[0].Time.totalNs(), Exact[0].Time.totalNs())
-      << "the sampled tier must differ here for the test to mean anything";
+  LoweredProgram Program = lowerKernel(KernelId::Reduction, Config);
+  ResultStore::Key K = ResultStore::keyFor(Config, Program);
+  // A doctored entry: served, it would show as a doubled sequential time.
+  ResultStore::Entry Doctored = simulateOne(Config, Program);
+  Doctored.Result.Time.SequentialNs *= 2;
 
-  SweepRunner Resumed(1, storeAt(Dir));
-  std::vector<RunResult> Got = Resumed.run(Points);
-  EXPECT_EQ(Resumed.telemetry().StoreHits, 0u);
-  expectResultEq(Got[0], Exact[0]);
+  for (const char *Tier : {"exact", "sampled"}) {
+    SCOPED_TRACE(Tier);
+    std::string Dir = freshDir(std::string("result_store_v2_") + Tier);
+    ResultStore Store(Dir);
+    ASSERT_TRUE(Store.save(K, Doctored));
+    ResultStore::Entry Loaded;
+    ASSERT_TRUE(Store.load(K, Loaded)) << "a current entry is served";
+
+    // Rewrite it in the v2 layout: magic, key line with code version 1
+    // and the tier, file name <config>-<trace>-1-<tier>.result.
+    std::filesystem::path Current;
+    for (const auto &File : std::filesystem::directory_iterator(Dir))
+      Current = File.path();
+    std::ifstream In(Current);
+    std::string Magic, KeyLine, Rest, Line;
+    std::getline(In, Magic);
+    std::getline(In, KeyLine);
+    while (std::getline(In, Line))
+      Rest += Line + "\n";
+    In.close();
+    ASSERT_EQ(Magic, "hetsim-result-v3");
+    char Name[96], V2Key[96];
+    std::snprintf(Name, sizeof(Name),
+                  "%016" PRIx64 "-%016" PRIx64 "-1-%s.result", K.ConfigHash,
+                  K.TraceHash, Tier);
+    std::snprintf(V2Key, sizeof(V2Key),
+                  "key %016" PRIx64 " %016" PRIx64 " 1 %s", K.ConfigHash,
+                  K.TraceHash, Tier);
+    std::string V2 = "hetsim-result-v2\n" + std::string(V2Key) + "\n" + Rest;
+    std::filesystem::remove(Current);
+    std::ofstream(Dir + "/" + Name) << V2;
+
+    SweepRunner FromOldName(1, storeAt(Dir));
+    std::vector<RunResult> Got = FromOldName.run(Points);
+    EXPECT_EQ(FromOldName.telemetry().StoreHits, 0u);
+    EXPECT_EQ(FromOldName.telemetry().StoreMisses, 1u);
+    expectResultEq(Got[0], Want[0]);
+
+    // The same v2 file at the current name is a miss too.
+    std::ofstream(Current, std::ios::trunc) << V2;
+    EXPECT_FALSE(Store.load(K, Loaded));
+    SweepRunner FromCurrentName(1, storeAt(Dir));
+    Got = FromCurrentName.run(Points);
+    EXPECT_EQ(FromCurrentName.telemetry().StoreHits, 0u);
+    EXPECT_EQ(FromCurrentName.telemetry().StoreMisses, 1u);
+    expectResultEq(Got[0], Want[0]);
+  }
 }
 
 TEST(ResultStore, FromEnvironmentHonorsVariable) {

@@ -42,7 +42,6 @@ TEST(RunOptionsParse, EmptyEnvironmentIsTheDefaultRun) {
   RunOptions Default;
   for (const RunOptions *O : {&Parsed, &Default}) {
     EXPECT_EQ(O->Jobs, 0u);
-    EXPECT_EQ(O->Tier, MemFastMode::Exact);
     EXPECT_TRUE(O->TraceCache);
     EXPECT_TRUE(O->ResultStoreDir.empty());
     EXPECT_TRUE(O->MetricsJsonPath.empty());
@@ -83,22 +82,6 @@ TEST(RunOptionsParseDeath, TraceCacheRejectsEverythingElse) {
         << Bad;
 }
 
-TEST(RunOptionsParse, MemFastTiers) {
-  EXPECT_EQ(parseOne("HETSIM_MEMFAST", "").Tier, MemFastMode::Exact);
-  EXPECT_EQ(parseOne("HETSIM_MEMFAST", "exact").Tier, MemFastMode::Exact);
-  EXPECT_EQ(parseOne("HETSIM_MEMFAST", "sampled").Tier,
-            MemFastMode::Sampled);
-}
-
-// The value that used to abort from inside sweep worker threads is now
-// rejected once, before any simulation starts.
-TEST(RunOptionsParseDeath, MemFastZeroIsFatalFromEnvironment) {
-  ::setenv("HETSIM_MEMFAST", "0", 1);
-  EXPECT_DEATH(RunOptions::fromEnvironment(),
-               "HETSIM_MEMFAST must be unset, 'exact' or 'sampled'");
-  ::unsetenv("HETSIM_MEMFAST");
-}
-
 TEST(RunOptionsParse, PathsAreTakenVerbatim) {
   RunOptions O = parseVars({{"HETSIM_RESULT_STORE", "store dir"},
                             {"HETSIM_METRICS_JSON", "m.json"},
@@ -115,14 +98,14 @@ TEST(RunOptionsParse, PathsAreTakenVerbatim) {
 TEST(RunOptionsParse, FromEnvironmentReadsTheProcessEnvironment) {
   ::setenv("HETSIM_JOBS", "5", 1);
   ::setenv("HETSIM_TRACE_CACHE", "0", 1);
-  ::setenv("HETSIM_MEMFAST", "sampled", 1);
+  ::setenv("HETSIM_CSV_DIR", "csv", 1);
   RunOptions O = RunOptions::fromEnvironment();
   ::unsetenv("HETSIM_JOBS");
   ::unsetenv("HETSIM_TRACE_CACHE");
-  ::unsetenv("HETSIM_MEMFAST");
+  ::unsetenv("HETSIM_CSV_DIR");
   EXPECT_EQ(O.Jobs, 5u);
   EXPECT_FALSE(O.TraceCache);
-  EXPECT_EQ(O.Tier, MemFastMode::Sampled);
+  EXPECT_EQ(O.CsvDir, "csv");
 }
 
 TEST(RunOptionsPlumbing, TraceCacheOptionSelectsTheTraceSource) {

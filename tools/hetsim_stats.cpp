@@ -156,30 +156,20 @@ int cmdValidate(const std::string &Path) {
   return 0;
 }
 
-/// Memory fidelity tier and sampled coverage (DESIGN.md §11), printed
-/// after a point's metrics when memfast.mode is present. Counters of
-/// other memfast.* names (older builds wrote fold counters) are listed
-/// with the metrics but not summarized.
+/// Memory fidelity tier, printed after a point's metrics when
+/// memfast.mode is present. Every current run is exact (memfast.mode 1);
+/// any other value comes from an older build and is reported as unknown.
+/// Counters of other memfast.* names (older builds wrote fold and
+/// coverage counters) are listed with the metrics but not summarized.
 void summarizeFidelity(const JsonValue &Metrics) {
   const JsonValue *Mode = Metrics.find("memfast.mode");
   if (!Mode || !Mode->isNumber())
     return;
-  auto Num = [&](const char *Key) {
-    const JsonValue *V = Metrics.find(Key);
-    return V && V->isNumber() ? V->NumberValue : 0.0;
-  };
-  if (Mode->NumberValue == 1) {
+  if (Mode->NumberValue == 1)
     std::printf("  fidelity tier: exact\n");
-  } else if (Mode->NumberValue == 3) {
-    std::printf("  fidelity tier: sampled (approximate)\n");
-    std::printf("  sampled coverage: %.0f bursts, %.0f records "
-                "extrapolated, error bound %.6g cycles\n",
-                Num("memfast.sampled_windows"), Num("memfast.sampled_records"),
-                Num("run.sampled_error_cycles"));
-  } else {
+  else
     std::printf("  fidelity tier: unknown (memfast.mode %g)\n",
                 Mode->NumberValue);
-  }
 }
 
 int cmdShow(const std::string &Path, const std::string &Prefix) {
